@@ -331,13 +331,7 @@ func (s CoarseToFine) Search(ctx context.Context, w Workload, lo, hi float64) (S
 		return SearchResult{}, err
 	}
 	center := e.res.Best
-	fLo, fHi := center-s.coarse(), center+s.coarse()
-	if fLo < lo {
-		fLo = lo
-	}
-	if fHi > hi {
-		fHi = hi
-	}
+	fLo, fHi := clampWindow(center, s.coarse(), lo, hi)
 	if err := sweep(e, fLo, fHi, s.fine()); err != nil {
 		return SearchResult{}, err
 	}
@@ -465,15 +459,29 @@ func (s RaceThenFine) Search(ctx context.Context, w Workload, lo, hi float64) (S
 	}
 	e := newEvalTracker(ctx, w)
 	e.res.Cost += raceCost
-	fLo, fHi := guess-s.window(), guess+s.window()
-	if fLo < lo {
-		fLo = lo
-	}
-	if fHi > hi {
-		fHi = hi
+	fLo, fHi := clampWindow(guess, s.window(), lo, hi)
+	if fLo > fHi {
+		// The race landed more than a window outside [lo, hi] (a
+		// warm-started search narrows the range around a transferred
+		// threshold): sweep the window around the guess clamped into
+		// the range instead of evaluating nothing.
+		fLo, fHi = clampWindow(math.Min(math.Max(guess, lo), hi), s.window(), lo, hi)
 	}
 	if err := sweep(e, fLo, fHi, s.fine()); err != nil {
 		return SearchResult{}, err
 	}
 	return e.result()
+}
+
+// clampWindow returns [center-half, center+half] intersected with
+// [lo, hi]; the result is empty (lo > hi) when they do not overlap.
+func clampWindow(center, half, lo, hi float64) (wlo, whi float64) {
+	wlo, whi = center-half, center+half
+	if wlo < lo {
+		wlo = lo
+	}
+	if whi > hi {
+		whi = hi
+	}
+	return wlo, whi
 }

@@ -184,6 +184,34 @@ func TestRaceThenFine(t *testing.T) {
 	}
 }
 
+// TestRaceThenFineGuessOutsideRange — a race guess more than a window
+// outside [lo, hi] sweeps the window around the guess clamped into the
+// range; a window that overlaps the range is left as it was.
+func TestRaceThenFineGuessOutsideRange(t *testing.T) {
+	for _, tc := range []struct {
+		guess, lo, hi  float64
+		wantLo, wantHi float64
+		wantEvals      int
+	}{
+		{guess: 40, lo: 0, hi: 8, wantLo: 4, wantHi: 8, wantEvals: 5},
+		{guess: 40, lo: 92, hi: 100, wantLo: 92, wantHi: 96, wantEvals: 5},
+		{guess: 10, lo: 0, hi: 8, wantLo: 6, wantHi: 8, wantEvals: 3},
+	} {
+		w := &racingV{
+			vWorkload: vWorkload{name: "v", opt: 50, base: time.Second, slope: time.Millisecond},
+			raceGuess: tc.guess,
+		}
+		res, err := RaceThenFine{Window: 4}.Search(context.Background(), w, tc.lo, tc.hi)
+		if err != nil {
+			t.Fatalf("guess %v in [%v, %v]: %v", tc.guess, tc.lo, tc.hi, err)
+		}
+		if res.Evals != tc.wantEvals || res.Curve[0].T != tc.wantLo || res.Curve[len(res.Curve)-1].T != tc.wantHi {
+			t.Errorf("guess %v in [%v, %v]: swept %v..%v (%d evals), want %v..%v (%d)", tc.guess, tc.lo, tc.hi,
+				res.Curve[0].T, res.Curve[len(res.Curve)-1].T, res.Evals, tc.wantLo, tc.wantHi, tc.wantEvals)
+		}
+	}
+}
+
 func TestRaceThenFineFallback(t *testing.T) {
 	// Without RaceEstimator, falls back to coarse-to-fine.
 	w := &vWorkload{name: "v", opt: 25, base: time.Second, slope: 10 * time.Millisecond}
