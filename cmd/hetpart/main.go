@@ -25,13 +25,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/graph"
-	"repro/internal/hetcc"
-	"repro/internal/hetscale"
 	"repro/internal/hetsim"
-	"repro/internal/hetspmm"
 	"repro/internal/mmio"
 	"repro/internal/sparse"
+	"repro/internal/workloads"
 )
 
 func main() {
@@ -59,24 +56,27 @@ func main() {
 	}
 }
 
-func loadMatrix(dataset, mtxPath string) (*sparse.CSR, string, error) {
-	if mtxPath != "" {
-		coo, err := mmio.ReadFile(mtxPath)
+// build loads the input — the MatrixMarket file when one is given, the
+// named dataset otherwise — and constructs the workload: scalar on the
+// default platform when mp is nil, the N-device workload over mp
+// otherwise.
+func build(workload, dataset, mtxPath string, mp *hetsim.MultiPlatform) (any, error) {
+	if mtxPath == "" {
+		d, err := datasets.ByName(dataset)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		m, err := sparse.FromCOO(coo)
-		if err != nil {
-			return nil, "", err
-		}
-		return m, mtxPath, nil
+		return workloads.Build(workload, d.Name, d, hetsim.Default(), mp)
 	}
-	d, err := datasets.ByName(dataset)
+	coo, err := mmio.ReadFile(mtxPath)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	m, err := d.Matrix()
-	return m, d.Name, err
+	m, err := sparse.FromCOO(coo)
+	if err != nil {
+		return nil, err
+	}
+	return workloads.Build(workload, mtxPath, workloads.Matrix{M: m}, hetsim.Default(), mp)
 }
 
 // runPartition is the -devices path: N-device partition-vector
@@ -87,44 +87,12 @@ func runPartition(workload, dataset, mtxPath string, devices int, seed uint64, r
 		return fmt.Errorf("-devices %d out of range (want 3..8; use the scalar path for two devices)", devices)
 	}
 	platform := hetsim.DefaultMulti(devices - 1)
-	cfg := core.Config{Seed: seed, Repeats: repeats, Parallelism: parallelism}
-
-	var w core.SampledPartition
-	switch workload {
-	case "cc":
-		var g *graph.Graph
-		var err error
-		if mtxPath != "" {
-			m, _, merr := loadMatrix(dataset, mtxPath)
-			if merr != nil {
-				return merr
-			}
-			g, err = graph.FromCSR(m)
-		} else {
-			d, derr := datasets.ByName(dataset)
-			if derr != nil {
-				return derr
-			}
-			dataset = d.Name
-			g, err = d.Graph()
-		}
-		if err != nil {
-			return err
-		}
-		w = hetcc.NewMultiWorkload(dataset, g, hetcc.NewMultiAlgorithm(platform))
-	case "spmm":
-		m, n, err := loadMatrix(dataset, mtxPath)
-		if err != nil {
-			return err
-		}
-		w, err = hetspmm.NewMultiWorkload(n, m, hetspmm.NewMultiAlgorithm(platform))
-		if err != nil {
-			return err
-		}
-		cfg.Searcher = core.RaceThenFine{Window: 4}
-	default:
-		return fmt.Errorf("workload %q does not support partition vectors (want cc or spmm)", workload)
+	built, err := build(workload, dataset, mtxPath, platform)
+	if err != nil {
+		return err
 	}
+	w := built.(core.SampledPartition)
+	cfg := core.Config{Searcher: workloads.DefaultSearcher(workload), Seed: seed, Repeats: repeats, Parallelism: parallelism}
 
 	start := time.Now()
 	est, err := core.EstimatePartition(context.Background(), w, cfg)
@@ -167,63 +135,12 @@ func runPartition(workload, dataset, mtxPath string, devices int, seed uint64, r
 }
 
 func run(workload, dataset, mtxPath string, seed uint64, repeats, parallelism int, skipExh bool) error {
-	platform := hetsim.Default()
-	cfg := core.Config{Seed: seed, Repeats: repeats, Parallelism: parallelism}
-
-	var w core.Sampled
-	var name string
-	switch workload {
-	case "cc":
-		var g *graph.Graph
-		if mtxPath != "" {
-			m, n, err := loadMatrix(dataset, mtxPath)
-			if err != nil {
-				return err
-			}
-			name = n
-			g, err = graph.FromCSR(m)
-			if err != nil {
-				return err
-			}
-		} else {
-			d, err := datasets.ByName(dataset)
-			if err != nil {
-				return err
-			}
-			name = d.Name
-			g, err = d.Graph()
-			if err != nil {
-				return err
-			}
-		}
-		w = hetcc.NewWorkload(name, g, hetcc.NewAlgorithm(platform))
-	case "spmm":
-		m, n, err := loadMatrix(dataset, mtxPath)
-		if err != nil {
-			return err
-		}
-		name = n
-		sw, err := hetspmm.NewWorkload(name, m, hetspmm.NewAlgorithm(platform))
-		if err != nil {
-			return err
-		}
-		cfg.Searcher = core.RaceThenFine{Window: 4}
-		w = sw
-	case "scalefree":
-		m, n, err := loadMatrix(dataset, mtxPath)
-		if err != nil {
-			return err
-		}
-		name = n
-		sw, err := hetscale.NewWorkload(name, m, hetscale.NewAlgorithm(platform))
-		if err != nil {
-			return err
-		}
-		cfg.Searcher = core.GradientDescent{}
-		w = sw
-	default:
-		return fmt.Errorf("unknown workload %q (want cc, spmm or scalefree)", workload)
+	built, err := build(workload, dataset, mtxPath, nil)
+	if err != nil {
+		return err
 	}
+	w := built.(core.Sampled)
+	cfg := core.Config{Searcher: workloads.DefaultSearcher(workload), Seed: seed, Repeats: repeats, Parallelism: parallelism}
 
 	start := time.Now()
 	est, err := core.EstimateThreshold(context.Background(), w, cfg)

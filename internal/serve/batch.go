@@ -8,83 +8,46 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/store"
 )
 
-// batchItem is one resolved item of an /estimate-batch job: the wire
-// item plus the derived state the single-request path computes from
-// query parameters (searcher, cache key, admission cost). A resolution
-// failure is carried in err and surfaces as a per-item "invalid" event
-// rather than failing the job.
+// batchItem is one item of an /estimate-batch job: its name and the
+// request it describes. A resolution failure is carried in err and
+// surfaces as a per-item "invalid" event rather than failing the job.
 type batchItem struct {
-	src      batch.Item
-	workload string
-	searcher core.Searcher
-	seed     uint64
-	repeats  int
-	input    string // reported name
-	key      string // input identity ("dataset:x" / "upload:<fp>")
-	cacheKey string
-	cost     int64
-	hint     *store.Features
-	err      error
+	name string
+	req  *request
+	err  error
 }
 
-// resolveItem derives the per-item state, applying the same defaults
-// as the single-request path (seed 42, repeats 3, workload cc). A zero
-// seed/repeats in the manifest means "default" — the manifest cannot
-// distinguish absent from zero, and the single path treats absent the
-// same way.
-func (s *Server) resolveItem(src batch.Item) *batchItem {
-	it := &batchItem{src: src, workload: src.Workload, seed: src.Seed, repeats: src.Repeats}
-	if it.workload == "" {
-		it.workload = WorkloadCC
+// newBatchItem builds the request a manifest item describes. A zero
+// seed or repeats in the manifest means the default — the manifest
+// cannot distinguish absent from zero, and the single path treats
+// absent the same way.
+func (s *Server) newBatchItem(src batch.Item) *batchItem {
+	req := newRequest()
+	if src.Workload != "" {
+		req.workload = src.Workload
 	}
-	if it.seed == 0 {
-		it.seed = 42
+	if src.Seed != 0 {
+		req.seed = src.Seed
 	}
-	if it.repeats == 0 {
-		it.repeats = 3
+	if src.Repeats != 0 {
+		req.repeats = src.Repeats
 	}
-	if it.repeats < 1 || it.repeats > 99 {
-		it.err = badRequest("item %q: bad repeats %d (want 1..99)", src.Name, src.Repeats)
-		return it
+	err := s.resolve(req, src.Searcher)
+	if err == nil {
+		err = req.setInput(src.Body, src.Dataset)
 	}
-	searcher, err := searcherFor(it.workload, src.Searcher)
 	if err != nil {
-		it.err = badRequest("item %q: %v", src.Name, err)
-		return it
+		return &batchItem{name: src.Name, err: fmt.Errorf("item %q: %w", src.Name, err)}
 	}
-	it.searcher = searcher
-	if src.Body != nil {
-		fp := batch.Fingerprint(src.Body)
-		it.input, it.key = "upload:"+fp, "upload:"+fp
-	} else {
-		if _, err := datasets.ByName(src.Dataset); err != nil {
-			it.err = &httpError{code: http.StatusNotFound, err: fmt.Errorf("item %q: %v", src.Name, err)}
-			return it
-		}
-		it.input, it.key = src.Dataset, "dataset:"+src.Dataset
-	}
-	it.cacheKey = strings.Join([]string{
-		it.key, it.workload, searcher.Name(),
-		strconv.FormatUint(it.seed, 10), strconv.Itoa(it.repeats),
-	}, "|")
-	it.cost = searchCost(searcher, it.repeats)
-	if src.Features != "" && s.store != nil {
-		if f, err := store.ParseFeatures(src.Features); err == nil {
-			it.hint = &f
-		}
-	}
-	return it
+	req.hint = s.featuresHint(src.Features)
+	return &batchItem{name: src.Name, req: req}
 }
 
 // handleEstimateBatch serves POST /estimate-batch: many named items
@@ -154,7 +117,7 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 	s.metrics.BatchJob(len(job.Items))
 	items := make([]*batchItem, len(job.Items))
 	for i, src := range job.Items {
-		items[i] = s.resolveItem(src)
+		items[i] = s.newBatchItem(src)
 	}
 
 	bw := batch.NewWriter(w, batch.Negotiate(r.Header.Get("Accept")))
@@ -171,16 +134,26 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 	return http.StatusOK
 }
 
-// runBatch executes a resolved job: answer cache hits first, admit the
-// rest under one aggregate admission (shedding the tail per item),
-// hold one worker slot for the whole job, and run admitted items
-// sequentially with the remaining deadline budget re-carved before
-// each one.
+// runBatch executes a resolved job and closes it with the summary
+// trailer.
 func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*batchItem, start time.Time) {
 	summary := batch.Summary{Items: len(items)}
 	_, buildsBefore := s.metrics.BuildCounts()
 	emit := func(e batch.Event) { _ = bw.Emit(e) }
+	s.runItems(jobCtx, items, emit, &summary)
+	_, buildsAfter := s.metrics.BuildCounts()
+	// Builds that actually ran: build-cache misses during the job,
+	// approximate under concurrent single-request traffic.
+	summary.Builds = int(buildsAfter - buildsBefore)
+	summary.WallMS = float64(time.Since(start).Microseconds()) / 1e3
+	emit(batch.Event{Type: batch.EventSummary, Summary: &summary})
+}
 
+// runItems answers cache hits first, admits the rest under one
+// aggregate admission (shedding the tail per item), holds one worker
+// slot for the whole job, and runs admitted items sequentially with the
+// remaining deadline budget re-carved before each one.
+func (s *Server) runItems(jobCtx context.Context, items []*batchItem, emit func(batch.Event), summary *batch.Summary) {
 	// Fast pass: invalid items answer immediately, cache hits answer
 	// without admission — first results reach the client before any
 	// pipeline runs.
@@ -189,22 +162,13 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 		if it.err != nil {
 			summary.Failed++
 			s.metrics.BatchItem("invalid")
-			emit(batch.Event{Type: batch.EventError, Item: it.src.Name, Code: batch.CodeInvalid, Error: it.err.Error()})
+			emit(batch.Event{Type: batch.EventError, Item: it.name, Code: batch.CodeInvalid, Error: it.err.Error()})
 			continue
 		}
-		if v, hit := s.cache.Get(it.cacheKey); hit {
-			e := v.(cacheEntry)
-			resp := e.resp
-			resp.Cached = true
-			resp.Stale = s.stale(e.at)
-			s.metrics.CacheHit()
-			if resp.Stale {
-				s.metrics.StaleServed()
-				s.revalidate(it.cacheKey, it.workload, it.input, it.src.Body, it.searcher, it.seed, it.repeats, 0, nil)
-			}
+		if resp, hit := s.cached(it.req); hit {
 			summary.Completed++
 			s.metrics.BatchItem("cached")
-			emit(batch.Event{Type: batch.EventRefined, Item: it.src.Name, Estimate: marshalEstimate(resp)})
+			emit(batch.Event{Type: batch.EventRefined, Item: it.name, Estimate: marshalEstimate(*resp)})
 			continue
 		}
 		pending = append(pending, it)
@@ -214,7 +178,7 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 	if len(pending) > 0 {
 		costs := make([]int64, len(pending))
 		for i, it := range pending {
-			costs[i] = it.cost
+			costs[i] = it.req.cost()
 		}
 		_, aspan := obs.StartSpan(jobCtx, "batch.admit")
 		aspan.SetAttr("items", strconv.Itoa(len(pending)))
@@ -240,13 +204,19 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 	for _, it := range pending[admitted:] {
 		summary.Shed++
 		s.metrics.BatchItem("shed")
-		emit(s.batchShedEvent(it, &summary))
+		resp, ok := s.degraded(it.req)
+		if !ok {
+			emit(batch.Event{Type: batch.EventError, Item: it.name, Code: batch.CodeShed,
+				Error: "admission at capacity: item shed from batch tail"})
+			continue
+		}
+		summary.Degraded++
+		emit(batch.Event{Type: batch.EventRefined, Item: it.name, Degraded: true,
+			Code: batch.CodeShed, Estimate: marshalEstimate(*resp)})
 	}
 
 	run := pending[:admitted]
 	if len(run) == 0 {
-		finishSummary(&summary, s, buildsBefore, start)
-		emit(batch.Event{Type: batch.EventSummary, Summary: &summary})
 		return
 	}
 	// One worker slot bounds the whole job, exactly like one request.
@@ -254,11 +224,9 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 		for _, it := range run {
 			summary.Failed++
 			s.metrics.BatchItem("deadline")
-			emit(batch.Event{Type: batch.EventError, Item: it.src.Name,
+			emit(batch.Event{Type: batch.EventError, Item: it.name,
 				Code: batch.CodeDeadline, Error: err.Error()})
 		}
-		finishSummary(&summary, s, buildsBefore, start)
-		emit(batch.Event{Type: batch.EventSummary, Summary: &summary})
 		return
 	}
 	defer s.pool.Release()
@@ -270,49 +238,8 @@ func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*bat
 			summary.Failed += len(run) - i
 			break
 		}
-		s.runBatchItem(jobCtx, it, len(run)-i, emit, &summary)
+		s.runBatchItem(jobCtx, it, len(run)-i, emit, summary)
 	}
-	finishSummary(&summary, s, buildsBefore, start)
-	emit(batch.Event{Type: batch.EventSummary, Summary: &summary})
-}
-
-// finishSummary stamps the job-wide accounting: workload builds that
-// actually ran (build-cache misses during the job; approximate under
-// concurrent single-request traffic) and wall-clock.
-func finishSummary(sum *batch.Summary, s *Server, buildsBefore uint64, start time.Time) {
-	_, buildsAfter := s.metrics.BuildCounts()
-	sum.Builds = int(buildsAfter - buildsBefore)
-	sum.WallMS = float64(time.Since(start).Microseconds()) / 1e3
-}
-
-// batchShedEvent renders a shed item: a degraded NaiveStatic/stale
-// answer when DegradeOnShed allows, an explicit shed error otherwise —
-// the per-item analogue of the single path's 429-or-degrade choice.
-func (s *Server) batchShedEvent(it *batchItem, sum *batch.Summary) batch.Event {
-	if !s.cfg.DegradeOnShed {
-		return batch.Event{Type: batch.EventError, Item: it.src.Name, Code: batch.CodeShed,
-			Error: "admission at capacity: item shed from batch tail"}
-	}
-	var resp EstimateResponse
-	if v, ok := s.cache.Get(it.cacheKey); ok {
-		e := v.(cacheEntry)
-		resp = e.resp
-		resp.Cached = true
-		resp.Stale = s.stale(e.at)
-	} else {
-		resp = EstimateResponse{
-			Workload:  it.workload,
-			Input:     it.input,
-			Searcher:  "naive-static(fallback)",
-			Seed:      it.seed,
-			Threshold: 100 * s.platform.StaticCPUShare(),
-		}
-	}
-	resp.Degraded = true
-	s.metrics.Degraded()
-	sum.Degraded++
-	return batch.Event{Type: batch.EventRefined, Item: it.src.Name, Degraded: true,
-		Code: batch.CodeShed, Estimate: marshalEstimate(resp)}
 }
 
 // runBatchItem runs one admitted item under its carved slice of the
@@ -329,7 +256,7 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 			sum.Failed++
 			s.metrics.DeadlineExceeded()
 			s.metrics.BatchItem("deadline")
-			emit(batch.Event{Type: batch.EventError, Item: it.src.Name, Code: batch.CodeDeadline,
+			emit(batch.Event{Type: batch.EventError, Item: it.name, Code: batch.CodeDeadline,
 				Error: fmt.Sprintf("carved budget %v below minimum %v", per, resilience.MinBudget)})
 			return
 		}
@@ -338,9 +265,11 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 	defer cancel()
 
 	sctx, span := obs.StartSpan(ictx, "item.estimate")
-	span.SetAttr("item", it.src.Name)
-	span.SetAttr("input", it.input)
-	resp, err := s.runBatchPipeline(sctx, it, emit)
+	span.SetAttr("item", it.name)
+	span.SetAttr("input", it.req.input)
+	resp, err := s.run(sctx, it.req, modeItem, func(coarse EstimateResponse) {
+		emit(batch.Event{Type: batch.EventCoarse, Item: it.name, Estimate: marshalEstimate(coarse)})
+	})
 	if err != nil {
 		span.RecordError(err)
 		span.Finish()
@@ -350,63 +279,13 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 		}
 		sum.Failed++
 		s.metrics.BatchItem(outcome)
-		emit(batch.Event{Type: batch.EventError, Item: it.src.Name, Code: code, Error: err.Error()})
+		emit(batch.Event{Type: batch.EventError, Item: it.name, Code: code, Error: err.Error()})
 		return
 	}
 	span.Finish()
 	sum.Completed++
 	s.metrics.BatchItem("refined")
-	emit(batch.Event{Type: batch.EventRefined, Item: it.src.Name, Estimate: marshalEstimate(*resp)})
-}
-
-// runBatchPipeline is the per-item pipeline body. The caller already
-// holds the job's aggregate admission and the worker slot; this runs
-// build (through the shared build cache) → store lookup → coarse event
-// → probe-verified skip or a (possibly warm-started) search.
-func (s *Server) runBatchPipeline(ctx context.Context, it *batchItem, emit func(batch.Event)) (*EstimateResponse, error) {
-	cw, err := s.buildWorkload(ctx, it.workload, it.input, it.src.Body)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		meta storeMeta
-		n    store.Neighbor
-	)
-	if s.store != nil {
-		meta, n = s.storeLookup(ctx, it.workload, it.key, cw, it.hint)
-	}
-
-	// Coarse event: the first usable answer, before any fine sweep — a
-	// store neighbor's threshold when one is in transfer range, the
-	// platform's static split otherwise.
-	coarse := EstimateResponse{
-		Workload:  it.workload,
-		Input:     it.input,
-		Seed:      it.seed,
-		Repeats:   it.repeats,
-		Searcher:  "naive-static(coarse)",
-		Threshold: 100 * s.platform.StaticCPUShare(),
-	}
-	if meta.hit {
-		coarse.Searcher = "store-warm(coarse)"
-		coarse.Threshold = n.Entry.Threshold
-		coarse.StoreHit = true
-		coarse.StoreNeighbor = meta.neighbor
-		coarse.StoreDistance = meta.distance
-	}
-	emit(batch.Event{Type: batch.EventCoarse, Item: it.src.Name, Estimate: marshalEstimate(coarse)})
-
-	if meta.hit && s.store.CanSkip(n) {
-		resp, ok, err := s.probeTransfer(ctx, it.cacheKey, it.workload, it.input, it.key,
-			cw, n, meta, it.searcher, it.seed, it.repeats, true)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return resp, nil
-		}
-	}
-	return s.searchAndRespond(ctx, it.cacheKey, it.workload, it.input, cw, it.searcher, it.seed, it.repeats, meta, n)
+	emit(batch.Event{Type: batch.EventRefined, Item: it.name, Estimate: marshalEstimate(*resp)})
 }
 
 // classifyItemError maps a per-item pipeline error to its event code

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/hetsim"
 )
 
 // buildCache holds constructed dataset workloads keyed by (platform,
@@ -18,7 +16,7 @@ import (
 // live for the life of the server; uploads are never cached here —
 // their population is unbounded and their bytes are request-scoped.
 //
-// Sharing one core.Sampled across concurrent pipelines is safe: the
+// Sharing one built workload across concurrent pipelines is safe: the
 // in-tree workloads treat their input and profile as immutable and
 // Sample builds a fresh inner workload per call (see the concurrency
 // notes on each Evaluate).
@@ -33,28 +31,26 @@ func newBuildCache() *buildCache {
 	return &buildCache{m: make(map[string]any)}
 }
 
-// buildKey identifies one constructed workload. The platform's device
-// names participate so servers sharing a cache could never conflate
-// calibrations (the algorithm wrappers embed the platform).
-func buildKey(platform *hetsim.Platform, workload, dataset string) string {
-	return strings.Join([]string{platform.CPU.Spec.Name, platform.GPU.Spec.Name, workload, dataset}, "|")
+// buildKey identifies the request's constructed dataset workload. A
+// scalar key names the platform's devices, so servers sharing a cache
+// could never conflate calibrations (the algorithm wrappers embed the
+// platform); an N-device key carries the inventory's signature — every
+// device's calibration plus the link — so inventories of different size
+// or speed never collide, and never collide with scalar keys, which
+// have no signature braces.
+func (s *Server) buildKey(req *request) string {
+	if req.mp != nil {
+		return strings.Join([]string{req.mp.Signature(), req.workload, req.input}, "|")
+	}
+	return strings.Join([]string{s.platform.CPU.Spec.Name, s.platform.GPU.Spec.Name, req.workload, req.input}, "|")
 }
 
-// multiBuildKey identifies one constructed N-device partition workload.
-// The multi-platform signature embeds every device's calibration plus
-// the link, so inventories of different size or speed never collide —
-// and never collide with scalar buildKey entries, whose keys have no
-// signature braces.
-func multiBuildKey(mp *hetsim.MultiPlatform, workload, dataset string) string {
-	return strings.Join([]string{mp.Signature(), workload, dataset}, "|")
-}
-
-// do returns the cached value for key, or builds it. Concurrent misses
-// on one key coalesce into a single build (singleflight): the leader
-// builds, followers share the result and count as hits. Build errors
-// are returned to the whole herd and not cached, so a transient failure
-// does not poison the key.
-func (c *buildCache) do(key string, build func() (any, error)) (v any, hit bool, err error) {
+// get returns the cached workload for key, or builds it. Concurrent
+// misses on one key coalesce into a single build (singleflight): the
+// leader builds, followers share the result and count as hits. Build
+// errors are returned to the whole herd and not cached, so a transient
+// failure does not poison the key.
+func (c *buildCache) get(key string, build func() (any, error)) (v any, hit bool, err error) {
 	c.mu.Lock()
 	if v, ok := c.m[key]; ok {
 		c.mu.Unlock()
@@ -75,24 +71,6 @@ func (c *buildCache) do(key string, build func() (any, error)) (v any, hit bool,
 		return nil, false, err
 	}
 	return v, !leader, nil
-}
-
-// get is do typed for scalar threshold workloads.
-func (c *buildCache) get(key string, build func() (core.Sampled, error)) (w core.Sampled, hit bool, err error) {
-	v, hit, err := c.do(key, func() (any, error) { return build() })
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(core.Sampled), hit, nil
-}
-
-// getPartition is do typed for N-device partition workloads.
-func (c *buildCache) getPartition(key string, build func() (core.SampledPartition, error)) (w core.SampledPartition, hit bool, err error) {
-	v, hit, err := c.do(key, func() (any, error) { return build() })
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(core.SampledPartition), hit, nil
 }
 
 // len reports the current population (tests, metrics).

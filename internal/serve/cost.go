@@ -26,14 +26,6 @@ func warmSearchCost(s core.Searcher, repeats int) int64 {
 	return warm
 }
 
-// searchCost estimates how many threshold evaluations an Identify
-// search will perform over the default [0, 100] range, times the
-// repeat count — the admission controller's cost unit. It mirrors each
-// searcher's grid arithmetic (including zero-value defaults) rather
-// than asking the searcher, because the estimate must be O(1) and
-// available before any workload is built. Precision is not the point:
-// admission only needs exhaustive(step=1)×9 to look ~30× dearer than
-// race-then-fine×1, which this delivers.
 // simplexCostRounds is the coordinate-descent round count the
 // admission estimate assumes for N ≥ 3 partition searches: one
 // improving pass plus a confirming pass is the common case, and a
@@ -55,6 +47,14 @@ func partitionSearchCost(s core.Searcher, repeats, devices int) int64 {
 	return cost * int64(devices-1) * simplexCostRounds
 }
 
+// searchCost estimates how many threshold evaluations an Identify
+// search will perform over the default [0, 100] range, times the
+// repeat count — the admission controller's cost unit. It mirrors each
+// searcher's grid arithmetic (including zero-value defaults) rather
+// than asking the searcher, because the estimate must be O(1) and
+// available before any workload is built. Precision is not the point:
+// admission only needs exhaustive(step=1)×9 to look ~30× dearer than
+// race-then-fine×1, which this delivers.
 func searchCost(s core.Searcher, repeats int) int64 {
 	if repeats < 1 {
 		repeats = 1

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,17 +9,13 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/hetsim"
-	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/sparse"
-	"repro/internal/store"
 )
 
 // EstimateResponse is the JSON answer of /estimate. Durations are
@@ -127,7 +122,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	done := s.metrics.RequestStarted(workload)
 	code := http.StatusOK
 
-	resp, err := s.estimate(w, r, workload, start)
+	resp, err := s.estimate(w, r, start)
 	if err != nil {
 		var he *httpError
 		if errors.As(err, &he) {
@@ -144,105 +139,25 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			slog.Int("status", code),
 			slog.Any("err", err))
 		writeJSON(w, code, errorBody(r.Context(), err))
-		done(code, time.Since(start))
-		return
+	} else {
+		resp.WallMS = float64(time.Since(start).Microseconds()) / 1e3
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp.WallMS = float64(time.Since(start).Microseconds()) / 1e3
-	writeJSON(w, http.StatusOK, resp)
 	done(code, time.Since(start))
 }
 
 // estimate parses the request, consults the cache, and runs the
-// pipeline under the worker pool on a miss. start is the request's
-// arrival time: deadline budgets count from there, so time spent
-// reading and fingerprinting an upload is charged against the budget
-// exactly as the caller experiences it.
-func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload string, start time.Time) (*EstimateResponse, error) {
+// pipeline on a miss. start is the request's arrival time: deadline
+// budgets count from there, so time spent reading and fingerprinting an
+// upload is charged against the budget exactly as the caller
+// experiences it.
+func (s *Server) estimate(w http.ResponseWriter, r *http.Request, start time.Time) (*EstimateResponse, error) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		return nil, &httpError{code: http.StatusMethodNotAllowed, err: fmt.Errorf("method %s not allowed", r.Method)}
 	}
-	q := r.URL.Query()
-
-	seed := uint64(42)
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil, badRequest("bad seed %q: %v", v, err)
-		}
-		seed = n
-	}
-	repeats := 3
-	if v := q.Get("repeats"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > 99 {
-			return nil, badRequest("bad repeats %q (want 1..99)", v)
-		}
-		repeats = n
-	}
-	searcher, err := searcherFor(workload, q.Get("searcher"))
+	req, err := s.parseRequest(w, r)
 	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-
-	// ?devices=N switches the pipeline to N-device partition-vector
-	// estimation. devices == 0 is the legacy scalar threshold path.
-	devices := 0
-	if v := q.Get("devices"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 2 || n > MaxEstimateDevices {
-			return nil, badRequest("bad devices %q (want 2..%d)", v, MaxEstimateDevices)
-		}
-		devices = n
-	}
-	var mp *hetsim.MultiPlatform
-	if devices > 0 {
-		if workload == WorkloadScaleFree {
-			return nil, badRequest("workload %q does not support partition vectors (want %s or %s)",
-				workload, WorkloadCC, WorkloadSpMM)
-		}
-		if devices >= 3 {
-			mp, err = s.multiPlatform(devices)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// devices == 2 runs AsPartition over the scalar two-device
-		// workload — bit-identical to the scalar search by construction,
-		// so it needs no multi-platform inventory.
-	}
-
-	// Resolve the input: an uploaded MatrixMarket body (POST) or a
-	// named Table II dataset (GET).
-	var (
-		input string // reported name
-		key   string // cache key component identifying the input
-		body  []byte
-	)
-	if r.Method == http.MethodPost {
-		limited := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-		body, err = io.ReadAll(limited)
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-					err: fmt.Errorf("upload exceeds %d bytes", s.cfg.MaxUploadBytes)}
-			}
-			return nil, fmt.Errorf("reading body: %w", err)
-		}
-		if len(body) == 0 {
-			return nil, badRequest("empty POST body; upload a MatrixMarket matrix or GET ?dataset=")
-		}
-		fp := Fingerprint(body)
-		input, key = "upload:"+fp, "upload:"+fp
-	} else {
-		name := q.Get("dataset")
-		if name == "" {
-			return nil, badRequest("missing ?dataset= (or POST a MatrixMarket body)")
-		}
-		if _, err := datasets.ByName(name); err != nil {
-			return nil, &httpError{code: http.StatusNotFound, err: err}
-		}
-		input, key = name, "dataset:"+name
+		return nil, err
 	}
 
 	// Validated before the cache lookup so a malformed ?timeout= or
@@ -258,33 +173,13 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 		}
 	}
 
-	cacheKey := strings.Join([]string{
-		key, workload, searcher.Name(),
-		strconv.FormatUint(seed, 10), strconv.Itoa(repeats),
-		"d" + strconv.Itoa(devices),
-	}, "|")
 	_, cspan := obs.StartSpan(r.Context(), "cache.lookup")
-	v, hit := s.cache.Get(cacheKey)
+	resp, hit := s.cached(req)
 	cspan.SetAttr("hit", strconv.FormatBool(hit))
 	cspan.Finish()
 	if hit {
-		e := v.(cacheEntry)
-		resp := e.resp // copy; Cached/Stale/WallMS are per-request
-		resp.Cached = true
-		s.metrics.CacheHit()
-		s.stampStoreHeaders(w, &resp)
-		if !s.stale(e.at) {
-			return &resp, nil
-		}
-		// Stale-while-revalidate: answer from the stale entry now and
-		// refresh it off the request path. The refresh goes through the
-		// same singleflight and admission gates as a foreground miss,
-		// so a thundering herd of stale hits buys exactly one pipeline
-		// run — and none at all under overload.
-		s.metrics.StaleServed()
-		resp.Stale = true
-		s.revalidate(cacheKey, workload, input, body, searcher, seed, repeats, devices, mp)
-		return &resp, nil
+		s.stampStoreHeaders(w, resp)
+		return resp, nil
 	}
 
 	// Cache miss: a budget too small to fit any work fails fast now
@@ -298,31 +193,21 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 	// only helps after the first completes. Followers inherit the
 	// leader's outcome, deadline included; that is the usual
 	// singleflight trade and estimation results are request-agnostic.
-	// A client (or gateway) that already knows the upload's structural
-	// features may send them along; the hint only steers the store
-	// lookup, so a malformed header is ignored rather than rejected.
-	var hint *store.Features
-	if v := r.Header.Get(FeaturesHeader); v != "" && s.store != nil {
-		if f, err := store.ParseFeatures(v); err == nil {
-			hint = &f
-		}
-	}
-
-	v, err, leader := s.flight.Do(cacheKey, func() (any, error) {
+	v, err, leader := s.flight.Do(req.cacheKey(), func() (any, error) {
 		s.metrics.CacheMiss()
 		// Anchored at arrival, not here: with a propagated budget this
 		// server must give up strictly before its caller does, even when
 		// reading the upload ate a slice of the budget already.
 		ctx, cancel := context.WithDeadline(r.Context(), start.Add(timeout))
 		defer cancel()
-		if devices > 0 {
-			return s.runPartitionPipeline(ctx, cacheKey, workload, input, body, mp, devices, searcher, seed, repeats)
-		}
-		return s.runPipeline(ctx, cacheKey, workload, input, body, searcher, seed, repeats, hint)
+		return s.run(ctx, req, modeRequest, nil)
 	})
 	if err != nil {
 		if errors.Is(err, resilience.ErrOverloaded) {
-			if resp, ok := s.shedFallback(w, cacheKey, workload, input, searcher, seed, devices, mp); ok {
+			if resp, ok := s.degraded(req); ok {
+				// The header lets the gateway count degraded answers
+				// without parsing bodies.
+				w.Header().Set(DegradedHeader, "true")
 				return resp, nil
 			}
 			// No degraded answer available: shed honestly with
@@ -332,16 +217,100 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, workload strin
 		}
 		return nil, err
 	}
-	resp := *(v.(*EstimateResponse)) // copy; Coalesced/WallMS are per-request
+	fresh := *(v.(*EstimateResponse)) // copy; Coalesced/WallMS are per-request
 	if !leader {
 		s.metrics.Coalesced()
-		resp.Coalesced = true
+		fresh.Coalesced = true
 		// The pipeline spans live in the leader's trace; mark the
 		// follower's server span so the coalescing is visible there too.
 		obs.SpanFromContext(r.Context()).SetAttr("coalesced", "true")
 	}
-	s.stampStoreHeaders(w, &resp)
-	return &resp, nil
+	s.stampStoreHeaders(w, &fresh)
+	return &fresh, nil
+}
+
+// cached answers a request from the result cache. The answer is a copy
+// of the entry — Cached, Stale and WallMS are per-request. A stale
+// entry is served at once while a background revalidation refreshes it
+// (stale-while-revalidate); the refresh goes through the same
+// singleflight and admission gates as a foreground miss, so a
+// thundering herd of stale hits buys exactly one pipeline run — and
+// none at all under overload.
+func (s *Server) cached(req *request) (*EstimateResponse, bool) {
+	v, hit := s.cache.Get(req.cacheKey())
+	if !hit {
+		return nil, false
+	}
+	e := v.(cacheEntry)
+	resp := e.resp
+	resp.Cached = true
+	s.metrics.CacheHit()
+	if s.stale(e.at) {
+		s.metrics.StaleServed()
+		resp.Stale = true
+		s.revalidate(req)
+	}
+	return &resp, true
+}
+
+// parseRequest builds the request an /estimate query describes: the
+// knobs from the query string, the input from the POST body (an
+// upload) or ?dataset= (a Table II replica). A client (or gateway)
+// that already knows an upload's structural features may send them in
+// FeaturesHeader.
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*request, error) {
+	q := r.URL.Query()
+	req := newRequest()
+	if v := q.Get("workload"); v != "" {
+		req.workload = v
+	}
+	if v := q.Get("seed"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return nil, badRequest("bad seed %q: %v", v, err)
+		}
+		req.seed = n
+	}
+	if v := q.Get("repeats"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return nil, badRequest("bad repeats %q (want 1..99)", v)
+		}
+		req.repeats = n
+	}
+	// ?devices=N switches the pipeline to N-device partition-vector
+	// estimation; without it the scalar threshold is estimated.
+	if v := q.Get("devices"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 2 || n > MaxEstimateDevices {
+			return nil, badRequest("bad devices %q (want 2..%d)", v, MaxEstimateDevices)
+		}
+		req.devices = n
+	}
+	if err := s.resolve(req, q.Get("searcher")); err != nil {
+		return nil, err
+	}
+	var body []byte
+	if r.Method == http.MethodPost {
+		var err error
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				return nil, &httpError{code: http.StatusRequestEntityTooLarge,
+					err: fmt.Errorf("upload exceeds %d bytes", s.cfg.MaxUploadBytes)}
+			}
+			return nil, fmt.Errorf("reading body: %w", err)
+		}
+		if len(body) == 0 {
+			return nil, badRequest("empty POST body; upload a MatrixMarket matrix or GET ?dataset=")
+		}
+	}
+	if err := req.setInput(body, q.Get("dataset")); err != nil {
+		return nil, err
+	}
+	req.hint = s.featuresHint(r.Header.Get(FeaturesHeader))
+	return req, nil
 }
 
 // stampStoreHeaders surfaces the transfer outcome as response headers
@@ -362,17 +331,16 @@ func (s *Server) stampStoreHeaders(w http.ResponseWriter, resp *EstimateResponse
 	}
 }
 
-// shedFallback builds the graceful-degradation answer for a shed
-// request: a (possibly stale) cache entry when one exists, otherwise —
-// when Config.DegradeOnShed allows — the platform's NaiveStatic
-// threshold. Both are marked "degraded":true, and the response header
-// lets the gateway count degraded answers without parsing bodies.
-func (s *Server) shedFallback(w http.ResponseWriter, cacheKey, workload, input string, searcher core.Searcher, seed uint64, devices int, mp *hetsim.MultiPlatform) (*EstimateResponse, bool) {
+// degraded builds the graceful-degradation answer for a shed request
+// when Config.DegradeOnShed allows one: a (possibly stale) cache entry
+// when one exists, otherwise the platform's NaiveStatic split. Both are
+// marked "degraded":true.
+func (s *Server) degraded(req *request) (*EstimateResponse, bool) {
 	if !s.cfg.DegradeOnShed {
 		return nil, false
 	}
 	var resp EstimateResponse
-	if v, ok := s.cache.Get(cacheKey); ok {
+	if v, ok := s.cache.Get(req.cacheKey()); ok {
 		// Only a stale entry can reach here — a fresh one was served
 		// before admission — but any cached estimate beats a static
 		// guess.
@@ -386,14 +354,14 @@ func (s *Server) shedFallback(w http.ResponseWriter, cacheKey, workload, input s
 		// sampling at all. Crude, but O(1) and always available. For a
 		// partition request the fallback is the FLOPS-ratio vector.
 		resp = EstimateResponse{
-			Workload: workload,
-			Input:    input,
+			Workload: req.workload,
+			Input:    req.input,
 			Searcher: "naive-static(fallback)",
-			Seed:     seed,
+			Seed:     req.seed,
 		}
-		if devices > 0 {
-			resp.Devices = devices
-			resp.Partition = s.naiveStaticPartition(devices, mp)
+		if req.devices > 0 {
+			resp.Devices = req.devices
+			resp.Partition = s.naiveStaticPartition(req)
 			resp.NaiveStaticPartition = resp.Partition
 		} else {
 			resp.Threshold = 100 * s.platform.StaticCPUShare()
@@ -401,7 +369,6 @@ func (s *Server) shedFallback(w http.ResponseWriter, cacheKey, workload, input s
 	}
 	resp.Degraded = true
 	s.metrics.Degraded()
-	w.Header().Set(DegradedHeader, "true")
 	return &resp, true
 }
 
@@ -409,55 +376,23 @@ func (s *Server) shedFallback(w http.ResponseWriter, cacheKey, workload, input s
 // background run is bounded by MaxTimeout, coalesces with any
 // in-flight run for the same key, and passes through admission — so
 // revalidation never competes unboundedly with foreground traffic.
-func (s *Server) revalidate(cacheKey, workload, input string, body []byte, searcher core.Searcher, seed uint64, repeats, devices int, mp *hetsim.MultiPlatform) {
+func (s *Server) revalidate(req *request) {
+	r := *req
+	r.hint = nil // the refresh recomputes features rather than trust a hint
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 		defer cancel()
-		_, err, _ := s.flight.Do(cacheKey, func() (any, error) {
+		_, err, _ := s.flight.Do(r.cacheKey(), func() (any, error) {
 			s.metrics.CacheMiss()
-			if devices > 0 {
-				return s.runPartitionPipeline(ctx, cacheKey, workload, input, body, mp, devices, searcher, seed, repeats)
-			}
-			return s.runPipeline(ctx, cacheKey, workload, input, body, searcher, seed, repeats, nil)
+			return s.run(ctx, &r, modeRequest, nil)
 		})
 		if err != nil && !errors.Is(err, resilience.ErrOverloaded) {
 			s.logger.Warn("stale revalidation failed",
-				slog.String("workload", workload),
-				slog.String("input", input),
+				slog.String("workload", r.workload),
+				slog.String("input", r.input),
 				slog.Any("err", err))
 		}
 	}()
-}
-
-// runPipeline executes the Sample → Identify → Extrapolate pipeline
-// for one cache miss. Without a threshold store: pass admission,
-// acquire a worker slot, build the workload, run the estimation, and
-// cache the result. With one, the store path (runStorePipeline) builds
-// first so the structural features can steer a transfer.
-func (s *Server) runPipeline(ctx context.Context, cacheKey, workload, input string, body []byte, searcher core.Searcher, seed uint64, repeats int, hint *store.Features) (*EstimateResponse, error) {
-	if s.store != nil {
-		return s.runStorePipeline(ctx, cacheKey, workload, input, body, searcher, seed, repeats, hint)
-	}
-	// Admission first: the controller bounds the total estimated cost
-	// (grid points × repeats) in flight and sheds instead of queuing
-	// unboundedly, so a flood of expensive requests turns into fast
-	// 429s rather than a deep queue of doomed work.
-	release, err := s.admit(ctx, searchCost(searcher, repeats))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	if err := s.acquireWorker(ctx); err != nil {
-		return nil, err
-	}
-	defer s.pool.Release()
-
-	cw, err := s.buildWorkload(ctx, workload, input, body)
-	if err != nil {
-		return nil, err
-	}
-	return s.searchAndRespond(ctx, cacheKey, workload, input, cw, searcher, seed, repeats, storeMeta{}, store.Neighbor{})
 }
 
 // multiPlatform resolves the device inventory for an N-device
@@ -478,187 +413,12 @@ func (s *Server) multiPlatform(devices int) (*hetsim.MultiPlatform, error) {
 
 // naiveStaticPartition is the FLOPS-ratio share vector for a partition
 // request — the NaiveStatic baseline generalized to N devices.
-func (s *Server) naiveStaticPartition(devices int, mp *hetsim.MultiPlatform) core.Partition {
-	if mp != nil {
-		return core.Partition(mp.StaticShares())
+func (s *Server) naiveStaticPartition(req *request) core.Partition {
+	if req.mp != nil {
+		return core.Partition(req.mp.StaticShares())
 	}
 	cpu := 100 * s.platform.StaticCPUShare()
 	return core.Partition{cpu, 100 - cpu}
-}
-
-// buildPartitionWorkload constructs the N-device partition workload.
-// Two devices reuse the scalar build (and its cache) behind the
-// core.AsPartition adapter — that path is bit-identical to the scalar
-// search; three or more build the multi-device workload over mp,
-// cached by inventory signature for datasets.
-func (s *Server) buildPartitionWorkload(ctx context.Context, workload, input string, body []byte, mp *hetsim.MultiPlatform, devices int) (core.SampledPartition, error) {
-	if devices == 2 {
-		cw, err := s.buildWorkload(ctx, workload, input, body)
-		if err != nil {
-			return nil, err
-		}
-		pw, ok := core.AsPartition(cw).(core.SampledPartition)
-		if !ok {
-			return nil, fmt.Errorf("workload %s does not support sampled partition estimation", cw.Name())
-		}
-		return pw, nil
-	}
-	_, span := obs.StartSpan(ctx, "workload.build")
-	defer span.Finish()
-	span.SetAttr("workload", workload)
-	span.SetAttr("input", input)
-	span.SetAttr("devices", strconv.Itoa(devices))
-	fail := func(err error) (core.SampledPartition, error) {
-		span.RecordError(err)
-		return nil, err
-	}
-	if body != nil {
-		coo, err := mmio.ReadLimited(bytes.NewReader(body), s.cfg.MaxUploadBytes)
-		if err != nil {
-			if errors.Is(err, mmio.ErrTooLarge) {
-				return fail(&httpError{code: http.StatusRequestEntityTooLarge, err: err})
-			}
-			return fail(badRequest("parsing upload: %v", err))
-		}
-		m, err := sparse.FromCOO(coo)
-		if err != nil {
-			return fail(badRequest("building matrix: %v", err))
-		}
-		pw, err := buildMultiFromMatrix(mp, workload, input, m)
-		if err != nil {
-			return fail(badRequest("%v", err))
-		}
-		s.metrics.BuildMiss()
-		span.SetAttr("cache", "bypass")
-		return pw, nil
-	}
-	pw, hit, err := s.builds.getPartition(multiBuildKey(mp, workload, input), func() (core.SampledPartition, error) {
-		return buildMultiFromDataset(mp, workload, input)
-	})
-	if err != nil {
-		return fail(badRequest("%v", err))
-	}
-	if hit {
-		s.metrics.BuildHit()
-		span.SetAttr("cache", "hit")
-	} else {
-		s.metrics.BuildMiss()
-		span.SetAttr("cache", "miss")
-	}
-	return pw, nil
-}
-
-// runPartitionPipeline executes Sample → Identify → Extrapolate over
-// the N-device simplex for one cache miss. The threshold store never
-// participates: its features-to-threshold transfer is scalar, and a
-// partition answer warm-started from a scalar neighbor would not be.
-// Admission is charged the simplex cost — the scalar search cost
-// scaled by the axis count and the expected descent rounds.
-func (s *Server) runPartitionPipeline(ctx context.Context, cacheKey, workload, input string, body []byte, mp *hetsim.MultiPlatform, devices int, searcher core.Searcher, seed uint64, repeats int) (*EstimateResponse, error) {
-	release, err := s.admit(ctx, partitionSearchCost(searcher, repeats, devices))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	if err := s.acquireWorker(ctx); err != nil {
-		return nil, err
-	}
-	defer s.pool.Release()
-
-	pw, err := s.buildPartitionWorkload(ctx, workload, input, body, mp, devices)
-	if err != nil {
-		return nil, err
-	}
-	ctx = core.WithEvalObserver(ctx, s.metrics)
-	est, err := core.EstimatePartition(ctx, pw, core.Config{
-		Searcher:    searcher,
-		Seed:        seed,
-		Repeats:     repeats,
-		Parallelism: s.cfg.Parallelism,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("estimating %s: %w", pw.Name(), err)
-	}
-	_, espan := obs.StartSpan(ctx, "evaluate")
-	s.metrics.EvalStarted()
-	runTime, err := pw.EvaluatePartition(est.Partition)
-	s.metrics.EvalDone()
-	if err != nil {
-		err = fmt.Errorf("evaluating %s at %s: %w", pw.Name(), est.Partition, err)
-		espan.RecordError(err)
-		espan.Finish()
-		return nil, err
-	}
-	espan.SetAttr("partition", est.Partition.String())
-	espan.SetAttr("simulated_run", runTime.String())
-	espan.Finish()
-
-	overhead := est.Overhead()
-	resp := EstimateResponse{
-		Workload:             workload,
-		Input:                input,
-		Searcher:             searcher.Name(),
-		Seed:                 seed,
-		Repeats:              est.Repeats,
-		Devices:              devices,
-		Partition:            est.Partition,
-		SamplePartition:      est.SamplePartition,
-		NaiveStaticPartition: s.naiveStaticPartition(devices, mp),
-		Evals:                est.Evals,
-		RunTimeNS:            int64(runTime),
-		RunTime:              runTime.String(),
-		SampleNS:             int64(est.SampleCost),
-		IdentifyNS:           int64(est.IdentifyCost),
-		OverheadNS:           int64(overhead),
-		Overhead:             overhead.String(),
-	}
-	if overhead+runTime > 0 {
-		resp.OverheadPct = 100 * float64(overhead) / float64(overhead+runTime)
-	}
-	s.cache.Put(cacheKey, cacheEntry{resp: resp, at: time.Now()})
-	return &resp, nil
-}
-
-// runStorePipeline is runPipeline with the threshold store in the
-// loop. The worker slot comes first — it bounds builds and probes as
-// well as searches — and admission is charged per path: probeCost for
-// a verified transfer, a window-scaled cost for a warm-started search,
-// the full search cost for a cold run. A store hit therefore consumes
-// no admission capacity beyond its probe, which is what lets a warm
-// store keep answering while admission sheds fresh Identify work.
-func (s *Server) runStorePipeline(ctx context.Context, cacheKey, workload, input string, body []byte, searcher core.Searcher, seed uint64, repeats int, hint *store.Features) (*EstimateResponse, error) {
-	storeKey, _, _ := strings.Cut(cacheKey, "|")
-	if err := s.acquireWorker(ctx); err != nil {
-		return nil, err
-	}
-	defer s.pool.Release()
-
-	cw, err := s.buildWorkload(ctx, workload, input, body)
-	if err != nil {
-		return nil, err
-	}
-	meta, n := s.storeLookup(ctx, workload, storeKey, cw, hint)
-	if meta.hit && s.store.CanSkip(n) {
-		resp, ok, err := s.probeTransfer(ctx, cacheKey, workload, input, storeKey, cw, n, meta, searcher, seed, repeats, false)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return resp, nil
-		}
-		// Probe rejected or shed: fall through to the warm path.
-	}
-	cost := searchCost(searcher, repeats)
-	if meta.warm != nil {
-		cost = warmSearchCost(searcher, repeats)
-	}
-	release, err := s.admit(ctx, cost)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.searchAndRespond(ctx, cacheKey, workload, input, cw, searcher, seed, repeats, meta, n)
 }
 
 // admit acquires admission cost units, under a span; the returned
@@ -691,150 +451,6 @@ func (s *Server) acquireWorker(ctx context.Context) error {
 		return fmt.Errorf("waiting for worker: %w", err)
 	}
 	return nil
-}
-
-// searchAndRespond runs the estimation search and the final full-input
-// evaluation on a built workload, folds in the store bookkeeping, and
-// caches the response. The caller holds admission and a worker slot.
-func (s *Server) searchAndRespond(ctx context.Context, cacheKey, workload, input string, cw core.Sampled, searcher core.Searcher, seed uint64, repeats int, meta storeMeta, n store.Neighbor) (*EstimateResponse, error) {
-	if meta.warm != nil {
-		s.metrics.StoreWarmStart()
-	}
-	// The metrics registry observes every Evaluate call the pipeline
-	// makes — sequential or fanned out — for the in-flight gauge.
-	ctx = core.WithEvalObserver(ctx, s.metrics)
-	est, err := core.EstimateThreshold(ctx, cw, core.Config{
-		Searcher:    searcher,
-		Seed:        seed,
-		Repeats:     repeats,
-		Parallelism: s.cfg.Parallelism,
-		WarmStart:   meta.warm,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("estimating %s: %w", cw.Name(), err)
-	}
-	_, espan := obs.StartSpan(ctx, "evaluate")
-	s.metrics.EvalStarted()
-	runTime, err := cw.Evaluate(est.Threshold)
-	s.metrics.EvalDone()
-	if err != nil {
-		err = fmt.Errorf("evaluating %s at %.2f: %w", cw.Name(), est.Threshold, err)
-		espan.RecordError(err)
-		espan.Finish()
-		return nil, err
-	}
-	espan.SetAttr("threshold", fmt.Sprintf("%.2f", est.Threshold))
-	espan.SetAttr("simulated_run", runTime.String())
-	espan.Finish()
-
-	if s.cfg.Verbose {
-		var tr hetsim.Trace
-		tr.Add(hetsim.PhaseSample, "host", est.SampleCost)
-		tr.Add(hetsim.PhaseIdentify, "host", est.IdentifyCost)
-		tr.Add(hetsim.PhaseCompute, "het", runTime)
-		s.logger.InfoContext(ctx, "estimated",
-			slog.String("workload", cw.Name()),
-			slog.Float64("threshold", est.Threshold),
-			slog.Int("evals", est.Evals),
-			slog.Int("samples", est.Repeats),
-			slog.String("trace", tr.String()))
-	}
-
-	overhead := est.Overhead()
-	resp := EstimateResponse{
-		Workload:        workload,
-		Input:           input,
-		Searcher:        searcher.Name(),
-		Seed:            seed,
-		Repeats:         est.Repeats,
-		Threshold:       est.Threshold,
-		SampleThreshold: est.SampleThreshold,
-		Evals:           est.Evals,
-		RunTimeNS:       int64(runTime),
-		RunTime:         runTime.String(),
-		SampleNS:        int64(est.SampleCost),
-		IdentifyNS:      int64(est.IdentifyCost),
-		OverheadNS:      int64(overhead),
-		Overhead:        overhead.String(),
-	}
-	if overhead+runTime > 0 {
-		resp.OverheadPct = 100 * float64(overhead) / float64(overhead+runTime)
-	}
-	if s.store != nil && meta.hasFeatures {
-		resp.Features = meta.features.String()
-		if meta.hit {
-			resp.StoreHit = true
-			resp.StoreNeighbor = meta.neighbor
-			resp.StoreDistance = meta.distance
-		}
-		if meta.warm != nil {
-			resp.WarmStarted = true
-			s.observeWarmOutcome(workload, n, meta, est)
-		}
-		// Record this input's own verified result so structurally
-		// similar future inputs can transfer from it. storeKey is the
-		// cache key's input component — the part before the first "|".
-		storeKey, _, _ := strings.Cut(cacheKey, "|")
-		s.store.Put(workload, storeKey, s.platformSig, meta.features, est.Threshold, int64(runTime))
-	}
-	s.cache.Put(cacheKey, cacheEntry{resp: resp, at: time.Now()})
-	return &resp, nil
-}
-
-// buildWorkload constructs the estimation workload from an uploaded
-// MatrixMarket body or a named dataset, under a "workload.build" span
-// (parsing + profiling a large upload is real time a whole-request
-// histogram hides).
-func (s *Server) buildWorkload(ctx context.Context, workload, input string, body []byte) (core.Sampled, error) {
-	_, span := obs.StartSpan(ctx, "workload.build")
-	defer span.Finish()
-	span.SetAttr("workload", workload)
-	span.SetAttr("input", input)
-	fail := func(err error) (core.Sampled, error) {
-		span.RecordError(err)
-		return nil, err
-	}
-	if body != nil {
-		coo, err := mmio.ReadLimited(bytes.NewReader(body), s.cfg.MaxUploadBytes)
-		if err != nil {
-			if errors.Is(err, mmio.ErrTooLarge) {
-				return fail(&httpError{code: http.StatusRequestEntityTooLarge, err: err})
-			}
-			return fail(badRequest("parsing upload: %v", err))
-		}
-		m, err := sparse.FromCOO(coo)
-		if err != nil {
-			return fail(badRequest("building matrix: %v", err))
-		}
-		cw, err := buildFromMatrix(s.platform, workload, input, m)
-		if err != nil {
-			return fail(badRequest("%v", err))
-		}
-		// Uploads bypass the build cache (one-shot bodies are not worth
-		// keying), but they are still real constructions: count them so
-		// batch summaries report build work for upload items too.
-		s.metrics.BuildMiss()
-		span.SetAttr("cache", "bypass")
-		return cw, nil
-	}
-	// Dataset builds go through the build cache: the replica population
-	// is fixed, so re-parsing the same graph/matrix on every result-
-	// cache miss is pure waste. Concurrent misses coalesce into one
-	// build; followers count as hits.
-	cw, hit, err := s.builds.get(buildKey(s.platform, workload, input), func() (core.Sampled, error) {
-		return buildFromDataset(s.platform, workload, input)
-	})
-	if err != nil {
-		return fail(badRequest("%v", err))
-	}
-	if hit {
-		s.metrics.BuildHit()
-		span.SetAttr("cache", "hit")
-	} else {
-		s.metrics.BuildMiss()
-		span.SetAttr("cache", "miss")
-	}
-	return cw, nil
 }
 
 // errorBody renders the JSON error payload, echoing the request's

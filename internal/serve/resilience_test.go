@@ -104,21 +104,25 @@ func TestDegradedFallback(t *testing.T) {
 func TestShedFallbackPrefersCache(t *testing.T) {
 	s := New(Config{CacheSize: 8, DegradeOnShed: true, StaleAfter: time.Nanosecond, Logger: testLogger(t)})
 	want := EstimateResponse{Workload: "spmm", Input: "cant", Searcher: "race+fine", Threshold: 37.5}
-	s.cache.Put("k", cacheEntry{resp: want, at: time.Now().Add(-time.Second)})
+	req := newRequest()
+	req.workload = "spmm"
+	if err := s.resolve(req, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.setInput(nil, "cant"); err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(req.cacheKey(), cacheEntry{resp: want, at: time.Now().Add(-time.Second)})
 
-	rec := httptest.NewRecorder()
-	resp, ok := s.shedFallback(rec, "k", "spmm", "cant", nil, 42, 0, nil)
+	resp, ok := s.degraded(req)
 	if !ok {
-		t.Fatal("shedFallback declined with a cache entry present")
+		t.Fatal("degraded declined with a cache entry present")
 	}
 	if !resp.Degraded || !resp.Cached || !resp.Stale {
 		t.Errorf("flags = degraded:%v cached:%v stale:%v, want all true", resp.Degraded, resp.Cached, resp.Stale)
 	}
 	if resp.Threshold != want.Threshold || resp.Searcher != want.Searcher {
 		t.Errorf("served %+v, want the cached entry", resp)
-	}
-	if rec.Header().Get(DegradedHeader) == "" {
-		t.Errorf("missing %s header", DegradedHeader)
 	}
 }
 

@@ -1,20 +1,22 @@
 // Package serve implements hetserve, the threshold-estimation daemon.
 //
-// The paper's Sample → Identify → Extrapolate framework makes
-// threshold selection cheap enough to run online, per input — so this
-// package wraps core.EstimateThreshold in an HTTP service: clients ask
-// "how should I split this matrix/graph across devices?" and get the
-// estimated threshold with overhead accounting as JSON.
+// The paper's Sample → Identify → Extrapolate framework makes work
+// partitioning cheap enough to run online, per input, so this package
+// serves it over HTTP: clients ask "how should I split this
+// matrix/graph across devices?" and get the estimated threshold (or,
+// with ?devices=N, the N-device partition vector) with overhead
+// accounting as JSON.
 //
-// Internals: a bounded worker Pool feeds the estimation pipeline, an
-// LRU result cache keyed by (input fingerprint, workload, seed,
-// searcher config) answers repeated inputs from memory, identical
-// concurrent requests coalesce into a single pipeline run
-// (singleflight on the cache key), constructed dataset workloads are
-// kept in a build cache so result-cache misses stop re-parsing the
-// replicas, and Metrics exposes request counts, cache hit ratios,
-// coalesce counts, in-flight gauges (requests and threshold
-// evaluations) and per-workload latency histograms at /metrics — all
+// Every answer comes from one pipeline. /estimate queries and
+// /estimate-batch items become the same typed request; run takes it
+// through the gates (admission control and a bounded worker Pool), the
+// workload build (dataset builds are kept in a build cache), the
+// optional threshold-store transfer and the core estimation, then
+// writes the LRU result cache that both surfaces share. Identical
+// concurrent requests coalesce into a single run (singleflight on the
+// cache key), stale entries revalidate in the background through the
+// same run, and Metrics exposes request counts, cache and build hit
+// ratios, in-flight gauges and latency histograms at /metrics — all
 // standard library.
 package serve
 

@@ -35,24 +35,36 @@ type storeMeta struct {
 	features    store.Features
 	hasFeatures bool
 	hit         bool
-	neighbor    string
-	distance    float64
-	warm        *core.WarmStart
+	n           store.Neighbor // the transfer source; a hit warm-starts the search
 	// warmSeed is the warm window's center in *sample* threshold
 	// space, used to judge whether the warm search stayed interior.
 	warmSeed float64
+}
+
+// featuresHint parses an advisory features hint. The hint only steers
+// the store lookup, so a malformed one is ignored rather than
+// rejected.
+func (s *Server) featuresHint(v string) *store.Features {
+	if v == "" || s.store == nil {
+		return nil
+	}
+	f, err := store.ParseFeatures(v)
+	if err != nil {
+		return nil
+	}
+	return &f
 }
 
 // featuresOf returns the structural features of a built workload,
 // preferring the request's advisory hint. Dataset features are cached:
 // the replica population is fixed, so the O(nnz) scan runs once per
 // (workload, dataset).
-func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint *store.Features) (store.Features, bool) {
-	if hint != nil {
-		return *hint, true
+func (s *Server) featuresOf(req *request, cw core.Sampled) (store.Features, bool) {
+	if req.hint != nil {
+		return *req.hint, true
 	}
-	cacheable := strings.HasPrefix(storeKey, "dataset:")
-	fkey := workload + "|" + storeKey
+	cacheable := req.body == nil
+	fkey := req.workload + "|" + req.key
 	if cacheable {
 		s.featMu.Lock()
 		f, ok := s.feats[fkey]
@@ -74,43 +86,40 @@ func (s *Server) featuresOf(workload, storeKey string, cw core.Sampled, hint *st
 }
 
 // storeLookup consults the threshold store for a transferable
-// neighbor, under its own span. It returns the prepared transfer
-// state; a miss leaves meta.hit false.
-func (s *Server) storeLookup(ctx context.Context, workload, storeKey string, cw core.Sampled, hint *store.Features) (meta storeMeta, n store.Neighbor) {
-	f, ok := s.featuresOf(workload, storeKey, cw, hint)
+// neighbor, under its own span. A miss leaves meta.hit false.
+func (s *Server) storeLookup(ctx context.Context, req *request, cw core.Sampled) (meta storeMeta) {
+	f, ok := s.featuresOf(req, cw)
 	if !ok {
-		return meta, n
+		return meta
 	}
 	meta.features, meta.hasFeatures = f, true
 	_, span := obs.StartSpan(ctx, "store.lookup")
 	defer span.Finish()
-	n, hit := s.store.Lookup(workload, s.platformSig, storeKey, f)
+	n, hit := s.store.Lookup(req.workload, s.platformSig, req.key, f)
 	span.SetAttr("hit", strconv.FormatBool(hit))
 	if !hit {
-		return meta, n
+		return meta
 	}
 	s.metrics.StoreHit()
 	span.SetAttr("neighbor", n.Entry.Key)
 	span.SetAttr("distance", fmt.Sprintf("%.4f", n.Distance))
 	span.SetAttr("drifted", strconv.FormatBool(n.Drifted))
-	meta.hit = true
-	meta.neighbor = n.Entry.Key
-	meta.distance = n.Distance
-	meta.warm = &core.WarmStart{Threshold: n.Entry.Threshold}
+	meta.hit, meta.n = true, n
 	meta.warmSeed = n.Entry.Threshold
 	if inv, ok := cw.(core.InverseExtrapolator); ok {
 		meta.warmSeed = inv.InverseExtrapolate(n.Entry.Threshold)
 	}
-	return meta, n
+	return meta
 }
 
-// thresholdRange mirrors core's range resolution: the workload's own
-// range when it implements Ranger, [0, 100] otherwise.
-func thresholdRange(cw core.Sampled) (lo, hi float64) {
-	if rg, ok := cw.(core.Ranger); ok {
-		return rg.ThresholdRange()
+// stampStore folds a store lookup into a response.
+func stampStore(resp *EstimateResponse, meta storeMeta) {
+	resp.Features = meta.features.String()
+	if meta.hit {
+		resp.StoreHit = true
+		resp.StoreNeighbor = meta.n.Entry.Key
+		resp.StoreDistance = meta.n.Distance
 	}
-	return 0, 100
 }
 
 // probeTransfer verifies a transferred threshold with a cheap probe:
@@ -123,7 +132,7 @@ func thresholdRange(cw core.Sampled) (lo, hi float64) {
 // Only context/evaluation failures surface as errors. admitted callers
 // (batch items, whose job already holds aggregate admission) skip the
 // probe's own admission so one item is never charged twice.
-func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, storeKey string, cw core.Sampled, n store.Neighbor, meta storeMeta, searcher core.Searcher, seed uint64, repeats int, admitted bool) (*EstimateResponse, bool, error) {
+func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sampled, meta storeMeta, admitted bool) (*EstimateResponse, bool, error) {
 	_, span := obs.StartSpan(ctx, "store.probe")
 	defer span.Finish()
 	if !admitted {
@@ -143,14 +152,8 @@ func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, s
 	}
 
 	s.metrics.StoreProbe()
-	lo, hi := thresholdRange(cw)
-	t := n.Entry.Threshold
-	if t < lo {
-		t = lo
-	}
-	if t > hi {
-		t = hi
-	}
+	lo, hi := core.RangeOf(cw, core.Config{})
+	t := min(max(meta.n.Entry.Threshold, lo), hi)
 	span.SetAttr("threshold", fmt.Sprintf("%.2f", t))
 
 	// Probe points: the transferred threshold ± one grid step,
@@ -179,53 +182,32 @@ func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, s
 		costs[i] = d
 	}
 	others := make([]int64, 0, len(costs)-1)
+	var overhead time.Duration
 	for _, c := range costs[1:] {
 		others = append(others, int64(c))
+		overhead += c
 	}
+	key := meta.n.Entry.Key
 	if !s.store.AcceptProbe(int64(costs[0]), others...) {
 		span.SetAttr("accepted", "false")
 		s.metrics.StoreReject()
-		if s.store.Observe(workload, n.Entry.Key, false) {
-			s.scheduleReestimate(workload, n.Entry.Key)
+		if s.store.Observe(req.workload, key, false) {
+			s.scheduleReestimate(req.workload, key)
 		}
 		return nil, false, nil
 	}
 	span.SetAttr("accepted", "true")
 	s.metrics.StoreSkip()
-	s.store.Observe(workload, n.Entry.Key, true)
+	s.store.Observe(req.workload, key, true)
 	// The probe verified this threshold on *this* input at full
 	// scale: record it under the input's own key so future neighbors
 	// can transfer from it directly.
-	s.store.Put(workload, storeKey, s.platformSig, meta.features, t, int64(costs[0]))
+	s.store.Put(req.workload, req.key, s.platformSig, meta.features, t, int64(costs[0]))
 
-	runTime := costs[0]
-	var overhead time.Duration
-	for _, c := range costs[1:] {
-		overhead += c
-	}
-	resp := EstimateResponse{
-		Workload:      workload,
-		Input:         input,
-		Searcher:      searcher.Name(),
-		Seed:          seed,
-		Repeats:       repeats,
-		Threshold:     t,
-		Evals:         len(points),
-		RunTimeNS:     int64(runTime),
-		RunTime:       runTime.String(),
-		IdentifyNS:    int64(overhead),
-		OverheadNS:    int64(overhead),
-		Overhead:      overhead.String(),
-		StoreHit:      true,
-		Transferred:   true,
-		StoreNeighbor: meta.neighbor,
-		StoreDistance: meta.distance,
-		Features:      meta.features.String(),
-	}
-	if overhead+runTime > 0 {
-		resp.OverheadPct = 100 * float64(overhead) / float64(overhead+runTime)
-	}
-	s.cache.Put(cacheKey, cacheEntry{resp: resp, at: time.Now()})
+	resp := s.respond(req, outcome{threshold: t, evals: len(points), identify: overhead, run: costs[0]})
+	resp.Transferred = true
+	stampStore(&resp, meta)
+	s.cache.Put(req.cacheKey(), cacheEntry{resp: resp, at: time.Now()})
 	return &resp, true, nil
 }
 
@@ -234,25 +216,23 @@ func (s *Server) probeTransfer(ctx context.Context, cacheKey, workload, input, s
 // the warm window confirms the transferred threshold's neighborhood;
 // one that ran into the window's edge suggests the true optimum lies
 // outside, which counts against the neighbor.
-func (s *Server) observeWarmOutcome(workload string, n store.Neighbor, meta storeMeta, est *core.Estimate) {
-	win := meta.warm.Window
-	if win <= 0 {
-		win = core.DefaultWarmWindow
-	}
-	interior := est.SampleThreshold > meta.warmSeed-win && est.SampleThreshold < meta.warmSeed+win
-	if s.store.Observe(workload, n.Entry.Key, interior) {
+func (s *Server) observeWarmOutcome(workload string, meta storeMeta, sampleThreshold float64) {
+	const win = core.DefaultWarmWindow
+	interior := sampleThreshold > meta.warmSeed-win && sampleThreshold < meta.warmSeed+win
+	if s.store.Observe(workload, meta.n.Entry.Key, interior) {
 		// Confidence fell below the floor: refresh in the background.
-		s.scheduleReestimate(workload, n.Entry.Key)
+		s.scheduleReestimate(workload, meta.n.Entry.Key)
 	}
 }
 
 // scheduleReestimate refreshes a store entry's threshold in the
-// background: a full (cold) pipeline run through the same admission
-// and pool gates as foreground traffic, at low priority — under load
-// the admission queue sheds it silently and the entry waits for a
-// quieter moment. Only dataset-backed entries can re-estimate (upload
-// bodies are not retained). Concurrent requests for the same entry
-// coalesce.
+// background: a cold search with the workload's default searcher and
+// one repeat, whose verified threshold replaces the entry. It passes
+// the same admission and pool gates as foreground traffic, at low
+// priority — under load the admission queue sheds it silently and the
+// entry waits for a quieter moment. Only dataset-backed entries can
+// re-estimate (upload bodies are not retained). Concurrent requests for
+// the same entry coalesce.
 func (s *Server) scheduleReestimate(workload, storeKey string) {
 	name, ok := strings.CutPrefix(storeKey, "dataset:")
 	if !ok {
@@ -264,7 +244,15 @@ func (s *Server) scheduleReestimate(workload, storeKey string) {
 			s.metrics.StoreReestimate()
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 			defer cancel()
-			err := s.reestimate(ctx, workload, name, storeKey)
+			req := newRequest()
+			req.workload, req.seed, req.repeats = workload, reestimateSeed, 1
+			err := s.resolve(req, "")
+			if err == nil {
+				err = req.setInput(nil, name)
+			}
+			if err == nil {
+				_, err = s.run(ctx, req, modeRefresh, nil)
+			}
 			if err != nil && !errors.Is(err, resilience.ErrOverloaded) {
 				s.logger.Warn("store re-estimation failed",
 					slog.String("workload", workload),
@@ -274,55 +262,6 @@ func (s *Server) scheduleReestimate(workload, storeKey string) {
 			return nil, nil
 		})
 	}()
-}
-
-// reestimate runs one background refresh: cold search with the
-// workload's default searcher, then a store update with the verified
-// threshold.
-func (s *Server) reestimate(ctx context.Context, workload, dataset, storeKey string) error {
-	searcher, err := searcherFor(workload, "")
-	if err != nil {
-		return err
-	}
-	cost := searchCost(searcher, 1)
-	if err := s.admission.Acquire(ctx, cost); err != nil {
-		if errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed()
-		}
-		return err
-	}
-	defer s.admission.Release(cost)
-	if err := s.pool.Acquire(ctx); err != nil {
-		return err
-	}
-	defer s.pool.Release()
-
-	cw, err := s.buildWorkload(ctx, workload, dataset, nil)
-	if err != nil {
-		return err
-	}
-	f, ok := s.featuresOf(workload, storeKey, cw, nil)
-	if !ok {
-		return fmt.Errorf("workload %s exposes no features", workload)
-	}
-	ctx = core.WithEvalObserver(ctx, s.metrics)
-	est, err := core.EstimateThreshold(ctx, cw, core.Config{
-		Searcher:    searcher,
-		Seed:        reestimateSeed,
-		Repeats:     1,
-		Parallelism: s.cfg.Parallelism,
-	})
-	if err != nil {
-		return err
-	}
-	s.metrics.EvalStarted()
-	runTime, err := cw.Evaluate(est.Threshold)
-	s.metrics.EvalDone()
-	if err != nil {
-		return err
-	}
-	s.store.Put(workload, storeKey, s.platformSig, f, est.Threshold, int64(runTime))
-	return nil
 }
 
 // reestimateSeed is the fixed seed background refreshes use, so
