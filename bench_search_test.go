@@ -68,14 +68,6 @@ type searchBenchReport struct {
 	Cases       []searchBenchCase `json:"cases"`
 }
 
-// searchRange mirrors core's rangeOf for a bare Workload.
-func searchRange(w core.Workload) (lo, hi float64) {
-	if r, ok := w.(core.Ranger); ok {
-		return r.ThresholdRange()
-	}
-	return 0, 100
-}
-
 // timeSearch runs the searcher as a sub-benchmark pinned to the given
 // parallelism and returns the result, per-iteration wall-clock, and
 // per-iteration heap allocation count.
@@ -85,7 +77,7 @@ func timeSearch(b *testing.B, name string, s core.Searcher, w core.Workload, par
 	var allocsPerIter float64
 	b.Run(name, func(b *testing.B) {
 		ctx := core.WithParallelism(context.Background(), par)
-		lo, hi := searchRange(w)
+		lo, hi := core.RangeOf(w, core.Config{})
 		// One untimed run to warm scratch pools and spawn pool
 		// workers, so the measurement sees the steady state.
 		if _, err := s.Search(ctx, w, lo, hi); err != nil {

@@ -460,3 +460,42 @@ func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 	t.Cleanup(ts.Close)
 	return ts
 }
+
+// TestBatchItemSharesSingleRequestCache — batch items and /estimate key
+// the result cache identically: an item repeating an answered GET
+// comes back cached, and the job makes no admission at all.
+func TestBatchItemSharesSingleRequestCache(t *testing.T) {
+	s := New(Config{CacheSize: 16, Logger: testLogger(t)})
+	ts := newHTTPServer(t, s)
+	single := getJSON(t, ts.URL+"/estimate?workload=spmm&dataset=cant&seed=5&repeats=1", http.StatusOK)
+
+	code, events := postBatch(t, ts.URL, "application/json", "", manifestBody(t, []batch.Item{
+		{Name: "a", Workload: "spmm", Dataset: "cant", Seed: 5, Repeats: 1},
+	}))
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	byItem, sum := eventsByItem(events)
+	evs := byItem["a"]
+	if len(evs) != 1 || evs[0].Type != batch.EventRefined {
+		types := make([]string, len(evs))
+		for i, e := range evs {
+			types[i] = e.Type
+		}
+		t.Fatalf("item events = %v, want one refined answer from the cache", types)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(evs[0].Estimate, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got["cached"] != true {
+		t.Errorf("batch item cached = %v, want true", got["cached"])
+	}
+	if got["threshold"] != single["threshold"] || got["evals"] != single["evals"] {
+		t.Errorf("batch item %v/%v evals, want the single answer %v/%v",
+			got["threshold"], got["evals"], single["threshold"], single["evals"])
+	}
+	if sum == nil || sum.Admissions != 0 {
+		t.Errorf("summary = %+v, want 0 admissions", sum)
+	}
+}
