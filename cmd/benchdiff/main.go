@@ -93,6 +93,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -138,6 +139,21 @@ type gateConfig struct {
 	MinSpeedupFloorMS float64
 }
 
+// refuseCores reports the GOMAXPROCS refusals search and batch mode
+// share: a single-core recording cannot measure what (a speedup), and
+// reports recorded at different GOMAXPROCS are not comparable.
+func refuseCores(fail func(string, ...any), what string, baseline, current int) {
+	if baseline <= 1 {
+		fail("baseline was recorded at GOMAXPROCS=%d: single-core recordings cannot measure %s and must never serve as a baseline; re-record with GOMAXPROCS>=4", baseline, what)
+	}
+	if current <= 1 {
+		fail("current report was recorded at GOMAXPROCS=%d: re-run the benchmark with GOMAXPROCS>=4", current)
+	}
+	if baseline != current {
+		fail("gomaxprocs mismatch: baseline %d vs current %d — wall-clock ratios are not comparable across different core counts", baseline, current)
+	}
+}
+
 // diff returns every gate violation between baseline and current, in a
 // stable order. An empty slice means the gate passes.
 func diff(baseline, current benchReport, cfg gateConfig) []string {
@@ -149,15 +165,7 @@ func diff(baseline, current benchReport, cfg gateConfig) []string {
 	// Recording-environment checks come first: if these fail, the
 	// per-case numbers are not comparable and per-case output would
 	// only obscure the real problem.
-	if baseline.GOMAXPROCS <= 1 {
-		fail("baseline was recorded at GOMAXPROCS=%d: single-core recordings cannot measure parallel speedup and must never serve as a baseline; re-record with GOMAXPROCS>=4", baseline.GOMAXPROCS)
-	}
-	if current.GOMAXPROCS <= 1 {
-		fail("current report was recorded at GOMAXPROCS=%d: re-run the benchmark with GOMAXPROCS>=4", current.GOMAXPROCS)
-	}
-	if baseline.GOMAXPROCS != current.GOMAXPROCS {
-		fail("gomaxprocs mismatch: baseline %d vs current %d — wall-clock ratios are not comparable across different core counts", baseline.GOMAXPROCS, current.GOMAXPROCS)
-	}
+	refuseCores(fail, "parallel speedup", baseline.GOMAXPROCS, current.GOMAXPROCS)
 	// GOMAXPROCS can be set above the physical core count, which
 	// oversubscribes a small host instead of parallelizing on it; the
 	// recorded num_cpu catches that taint.
@@ -261,15 +269,7 @@ func diffBatch(baseline, current batchReport, cfg batchGateConfig) []string {
 	// Same recording-environment refusals as search mode, for the same
 	// reason: a single-core recording serializes the backends, so the
 	// batch arm's fan-out measures nothing.
-	if baseline.GOMAXPROCS <= 1 {
-		fail("baseline was recorded at GOMAXPROCS=%d: single-core recordings cannot measure fan-out speedup and must never serve as a baseline; re-record with GOMAXPROCS>=4", baseline.GOMAXPROCS)
-	}
-	if current.GOMAXPROCS <= 1 {
-		fail("current report was recorded at GOMAXPROCS=%d: re-run the benchmark with GOMAXPROCS>=4", current.GOMAXPROCS)
-	}
-	if baseline.GOMAXPROCS != current.GOMAXPROCS {
-		fail("gomaxprocs mismatch: baseline %d vs current %d — wall-clock ratios are not comparable across different core counts", baseline.GOMAXPROCS, current.GOMAXPROCS)
-	}
+	refuseCores(fail, "fan-out speedup", baseline.GOMAXPROCS, current.GOMAXPROCS)
 	if len(problems) > 0 {
 		return problems
 	}
@@ -534,64 +534,58 @@ func diffPartition(baseline, current partitionReport, cfg partitionGateConfig) [
 	return problems
 }
 
-func loadPartition(path string) (partitionReport, error) {
-	var r partitionReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Parity.Workload == "" || len(r.Simplex) == 0 {
-		return r, fmt.Errorf("%s: not a partition bench report (parity/simplex missing)", path)
-	}
-	return r, nil
-}
-
-func loadKernels(path string) (kernelReport, error) {
-	var r kernelReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Kernels) == 0 {
-		return r, fmt.Errorf("%s: not a kernel bench report (no kernel rows)", path)
-	}
-	return r, nil
-}
-
-func loadBatch(path string) (batchReport, error) {
-	var r batchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Items == 0 || r.Rounds == 0 {
-		return r, fmt.Errorf("%s: not a batch bench report (items/rounds missing)", path)
-	}
-	return r, nil
-}
-
-func load(path string) (benchReport, error) {
-	var r benchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
+func (r benchReport) check() error {
 	if len(r.Cases) == 0 {
-		return r, fmt.Errorf("%s: report has no cases", path)
+		return errors.New("report has no cases")
+	}
+	return nil
+}
+
+func (r batchReport) check() error {
+	if r.Items == 0 || r.Rounds == 0 {
+		return errors.New("not a batch bench report (items/rounds missing)")
+	}
+	return nil
+}
+
+func (r kernelReport) check() error {
+	if len(r.Kernels) == 0 {
+		return errors.New("not a kernel bench report (no kernel rows)")
+	}
+	return nil
+}
+
+func (r partitionReport) check() error {
+	if r.Parity.Workload == "" || len(r.Simplex) == 0 {
+		return errors.New("not a partition bench report (parity/simplex missing)")
+	}
+	return nil
+}
+
+// load reads a JSON report; check rejects a file of another schema.
+func load[T any](path string, check func(T) error) (T, error) {
+	var r T
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return r, err
+	}
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := check(r); err != nil {
+		return r, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
+}
+
+// mustLoad is load that exits with status 2 on error.
+func mustLoad[T any](path string, check func(T) error) T {
+	r, err := load(path, check)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(2)
+	}
+	return r
 }
 
 func main() {
@@ -627,56 +621,20 @@ func main() {
 	var summary string
 	switch *mode {
 	case "search":
-		baseline, err := load(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		current, err := load(*currentPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
+		baseline, current := mustLoad(*baselinePath, benchReport.check), mustLoad(*currentPath, benchReport.check)
 		problems = diff(baseline, current, cfg)
 		summary = fmt.Sprintf("%d case(s) at gomaxprocs=%d", len(current.Cases), current.GOMAXPROCS)
 	case "batch":
-		baseline, err := loadBatch(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		current, err := loadBatch(*currentPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
+		baseline, current := mustLoad(*baselinePath, batchReport.check), mustLoad(*currentPath, batchReport.check)
 		problems = diffBatch(baseline, current, bcfg)
 		summary = fmt.Sprintf("%d items x %d rounds at %.2fx speedup, ttfr %.1fms / ttlr %.1fms",
 			current.Items, current.Rounds, current.Speedup, current.Batch.TTFRMS, current.Batch.TTLRMS)
 	case "kernels":
-		baseline, err := loadKernels(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		current, err := loadKernels(*currentPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
+		baseline, current := mustLoad(*baselinePath, kernelReport.check), mustLoad(*currentPath, kernelReport.check)
 		problems = diffKernels(baseline, current, kcfg)
 		summary = fmt.Sprintf("%d kernel row(s) at %.2fx geomean speedup", len(current.Kernels), current.GeomeanSpeedup)
 	case "partition":
-		baseline, err := loadPartition(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		current, err := loadPartition(*currentPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
+		baseline, current := mustLoad(*baselinePath, partitionReport.check), mustLoad(*currentPath, partitionReport.check)
 		problems = diffPartition(baseline, current, pcfg)
 		summary = fmt.Sprintf("parity %.2fx overhead, %d simplex case(s) at gomaxprocs=%d",
 			current.Parity.Overhead, len(current.Simplex), current.GOMAXPROCS)

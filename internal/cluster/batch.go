@@ -73,7 +73,8 @@ func (g *Gateway) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		subBudget = resilience.ShaveBudget(budget)
 	}
 
-	g.metrics.FanoutJob(len(job.Items))
+	g.metrics.fanoutJobs.Inc()
+	g.metrics.fanoutItems.Add(uint64(len(job.Items)))
 
 	// Split by ring placement. State() peeks without consuming the
 	// half-open probe slot — placement is a plan, not an admission.
@@ -136,7 +137,7 @@ func (g *Gateway) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	for _, it := range unplaced {
-		g.metrics.FanoutDegraded()
+		g.metrics.fanoutDegraded.Inc()
 		merge.emit(batch.Event{Type: batch.EventError, Item: it.Name,
 			Code: batch.CodeBackendFailed, Error: errNoBackendAvailable.Error()})
 	}
@@ -176,7 +177,7 @@ func (g *Gateway) placeItem(it batch.Item) (string, bool) {
 // stream into the merge, hedges stragglers item-by-item, and rescues
 // whatever the shard left unterminated when its stream dies.
 func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch.Item, rawQuery string, budgetAt time.Time, merge *batchMerge) {
-	g.metrics.FanoutSubBatch(backend)
+	g.metrics.fanoutSubBatches.With(backend).Inc()
 	ctx, sp := obs.StartSpan(ctx, "upstream")
 	sp.SetAttr("backend", backend)
 	sp.SetAttr("http.path", "/estimate-batch")
@@ -221,7 +222,7 @@ func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch
 		// event per item wins; the merge drops the loser.
 		for _, it := range items {
 			if !merge.settled(it.Name) && merge.markHedged(it.Name) {
-				g.metrics.FanoutHedge()
+				g.metrics.fanoutHedges.Inc()
 				rescue(it, true)
 				return
 			}
@@ -240,7 +241,7 @@ func (g *Gateway) runSubBatch(ctx context.Context, backend string, items []batch
 			// Admission backpressure from the shard: feed the breaker's
 			// shed streak, not its failure streak.
 			g.breaker(backend).RecordShed()
-			g.metrics.Shed(backend)
+			g.metrics.shed.With(backend).Inc()
 		}
 		merge.emit(e)
 		return nil
@@ -345,13 +346,13 @@ func (g *Gateway) rescueItem(ctx context.Context, it batch.Item, hedged bool, me
 		err = fmt.Errorf("backend %s: HTTP %d: %s", res.backend, res.status, firstLine(res.body))
 	}
 	if coarse, ok := merge.coarseOf(it.Name); ok {
-		g.metrics.FanoutDegraded()
+		g.metrics.fanoutDegraded.Inc()
 		merge.emit(batch.Event{Type: batch.EventRefined, Item: it.Name,
 			Estimate: coarse.Estimate, Backend: coarse.Backend,
 			Degraded: true, Hedged: hedged, Code: batch.CodeBackendFailed})
 		return
 	}
-	g.metrics.FanoutDegraded()
+	g.metrics.fanoutDegraded.Inc()
 	merge.emit(batch.Event{Type: batch.EventError, Item: it.Name,
 		Code: batch.CodeBackendFailed, Error: err.Error(), Hedged: hedged})
 }

@@ -197,6 +197,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.client = &wrapped
 	}
 	g.metrics.breakerStates = g.BreakerStates
+	g.sink.Register(&g.metrics.reg, "hetgate_stage_seconds")
 	// The proxied routes get the full middleware (request IDs, gateway
 	// spans, request log lines); /healthz and /metrics stay bare so
 	// scrapes and probes don't flood the span ring.
@@ -274,8 +275,10 @@ func (g *Gateway) probeAll(ctx context.Context) {
 			defer wg.Done()
 			ok := g.probe(ctx, backend)
 			br.Record(ok)
-			g.metrics.Probe(backend, ok)
-			if !ok {
+			if ok {
+				g.metrics.probes.With(backend, "ok").Inc()
+			} else {
+				g.metrics.probes.With(backend, "fail").Inc()
 				g.logger.Warn("health probe failed",
 					slog.String("backend", backend),
 					slog.String("breaker", br.State().String()))
@@ -322,12 +325,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := g.metrics.WriteTo(w); err != nil {
 		g.logger.Error("writing metrics", slog.Any("err", err))
-		return
-	}
-	// Stage profiles come from the span sink: every finished span feeds
-	// a histogram keyed by its name (forward/upstream/http.estimate).
-	if _, err := g.sink.WriteProm(w, "hetgate_stage_seconds"); err != nil {
-		g.logger.Error("writing stage metrics", slog.Any("err", err))
 	}
 }
 
@@ -469,14 +466,14 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return res, err
 	})
 	if !leader {
-		g.metrics.Coalesced()
+		g.metrics.coalesced.Inc()
 		obs.SpanFromContext(r.Context()).SetAttr("coalesced", "true")
 	}
 	if err != nil {
 		code := http.StatusBadGateway
 		if errors.Is(err, context.DeadlineExceeded) {
 			code = http.StatusGatewayTimeout
-			g.metrics.DeadlineExceeded()
+			g.metrics.deadlines.Inc()
 		}
 		g.logger.ErrorContext(r.Context(), "estimate failed",
 			slog.String("method", r.Method),
@@ -541,7 +538,7 @@ func (g *Gateway) forward(ctx context.Context, method, rawQuery string, body []b
 	var lastErr error = errNoBackendAvailable
 	for attempt := 0; attempt < g.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			g.metrics.Retry()
+			g.metrics.retries.Inc()
 			obs.SpanFromContext(ctx).SetAttr("retries", strconv.Itoa(attempt))
 			if err := sleepCtx(ctx, g.backoff(attempt)); err != nil {
 				return nil, fmt.Errorf("%w (last error: %v)", err, lastErr)
@@ -639,7 +636,7 @@ func (g *Gateway) tryHedged(ctx context.Context, primary string, pick func() (st
 		case <-hedgeC:
 			hedgeC = nil
 			if b, ok := pick(); ok {
-				g.metrics.Hedge()
+				g.metrics.hedges.Inc()
 				obs.SpanFromContext(ctx).SetAttr("hedged", "true")
 				launch(b)
 				inFlight++
@@ -695,7 +692,7 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 			return fail(ctx.Err())
 		}
 		g.breaker(backend).Record(false)
-		g.metrics.Upstream(backend, 0, time.Since(start))
+		g.metrics.recordUpstream(backend, 0, time.Since(start))
 		return fail(fmt.Errorf("backend %s: %w", backend, err))
 	}
 	defer resp.Body.Close()
@@ -706,16 +703,16 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 			return fail(ctx.Err())
 		}
 		g.breaker(backend).Record(false)
-		g.metrics.Upstream(backend, 0, time.Since(start))
+		g.metrics.recordUpstream(backend, 0, time.Since(start))
 		return fail(fmt.Errorf("backend %s: reading response: %w", backend, err))
 	}
-	g.metrics.Upstream(backend, resp.StatusCode, time.Since(start))
+	g.metrics.recordUpstream(backend, resp.StatusCode, time.Since(start))
 	sp.SetAttr("http.status", strconv.Itoa(resp.StatusCode))
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// The backend shed us: count it, feed the breaker's shed streak
 		// (backpressure, not a transport failure — see RecordShed), and
 		// fail the attempt so forward retries the next replica.
-		g.metrics.Shed(backend)
+		g.metrics.shed.With(backend).Inc()
 		g.breaker(backend).RecordShed()
 		sp.SetAttr("shed", "true")
 		return fail(fmt.Errorf("backend %s: shed (HTTP 429): %s", backend, firstLine(b)))
@@ -737,7 +734,7 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 		// asserts degraded responses are not hidden inside the success
 		// rate.
 		res.degraded = true
-		g.metrics.Degraded(backend)
+		g.metrics.degraded.With(backend).Inc()
 		sp.SetAttr("degraded", "true")
 	}
 	res.features = resp.Header.Get(serve.FeaturesHeader)
@@ -746,7 +743,7 @@ func (g *Gateway) do(ctx context.Context, backend, method, path, rawQuery string
 		// skip or a warm-started search — so the gateway can report
 		// per-backend transfer rates without parsing bodies.
 		res.storeMode = mode
-		g.metrics.StoreTransfer(backend, mode)
+		g.metrics.transfers.With(backend, mode).Inc()
 		sp.SetAttr("store", mode)
 	}
 	sp.Finish()

@@ -122,13 +122,15 @@ type evalSlot struct {
 // workers=1, and join admits only while workers > 0, so a successful
 // join happens-after the reset and simply helps whichever window is
 // current; a stale delivery for a finished window sees workers == 0
-// and is dropped.
+// and is dropped. limit is atomic because join reads it before its
+// CAS decides whether the join succeeded, possibly while the submitter
+// rewrites it for the next window.
 type evalBatch struct {
 	tr    *evalTracker
 	pts   []float64
 	slots []evalSlot
 	chunk int64
-	limit int64
+	limit atomic.Int64
 	next  atomic.Int64
 	stop  atomic.Bool
 	// workers counts active participants (submitter + joined pool
@@ -143,7 +145,7 @@ type evalBatch struct {
 func (b *evalBatch) join() bool {
 	for {
 		n := b.workers.Load()
-		if n == 0 || n >= b.limit {
+		if n == 0 || n >= b.limit.Load() {
 			return false
 		}
 		if b.workers.CompareAndSwap(n, n+1) {
@@ -355,7 +357,7 @@ func (e *evalTracker) evalWindow(a *evalArena, pts []float64) error {
 	b.tr = e
 	b.pts = fresh
 	b.chunk = chunkFor(len(fresh), par)
-	b.limit = int64(par)
+	b.limit.Store(int64(par))
 	b.next.Store(0)
 	b.stop.Store(false)
 	if b.doneCh == nil {

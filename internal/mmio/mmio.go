@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -207,11 +208,18 @@ func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative dimension in size line %q", sizeLine)
 	}
+	if err := checkDims(rows, cols, sizeLine); err != nil {
+		return nil, err
+	}
 	c := &COO{Rows: rows, Cols: cols, Field: field, Symmetry: sym}
+	// The declared nnz is untrusted: preallocate at most maxPrealloc
+	// entries and let append grow past that as entries actually
+	// arrive, so memory stays proportional to the bytes read.
 	capHint := nnz
 	if sym == Symmetric {
 		capHint = 2 * nnz
 	}
+	capHint = min(capHint, maxPrealloc)
 	c.RowIdx = make([]int32, 0, capHint)
 	c.ColIdx = make([]int32, 0, capHint)
 	if field != Pattern {
@@ -257,6 +265,19 @@ func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry
 	return c, nil
 }
 
+// maxPrealloc caps the entries readCoordinate reserves up front from
+// the size line: 512 KiB of index and value slices.
+const maxPrealloc = 1 << 15
+
+// checkDims rejects dimensions whose 0-based indices do not fit the
+// int32 index slices.
+func checkDims(rows, cols int, sizeLine string) error {
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return fmt.Errorf("mmio: dimension above %d in size line %q", math.MaxInt32, sizeLine)
+	}
+	return nil
+}
+
 func appendEntry(c *COO, i, j int32, v float64, field Field) {
 	c.RowIdx = append(c.RowIdx, i)
 	c.ColIdx = append(c.ColIdx, j)
@@ -269,6 +290,9 @@ func readArray(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*C
 	var rows, cols int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols); err != nil {
 		return nil, fmt.Errorf("mmio: bad array size line %q: %w", sizeLine, err)
+	}
+	if err := checkDims(rows, cols, sizeLine); err != nil {
+		return nil, err
 	}
 	c := &COO{Rows: rows, Cols: cols, Field: field, Symmetry: sym}
 	// Array files are column-major dense listings; keep the nonzeros.

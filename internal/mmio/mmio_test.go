@@ -3,8 +3,10 @@ package mmio
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -262,5 +264,35 @@ func TestReadLimitedNoTrailingNewline(t *testing.T) {
 	}
 	if c.Vals[0] != 3.5 {
 		t.Fatalf("value = %v", c.Vals[0])
+	}
+}
+
+// TestSizeLineDoesNotSizeAllocation: a tiny header declaring 4·10⁸
+// entries must fail at EOF without reserving memory for them.
+func TestSizeLineDoesNotSizeAllocation(t *testing.T) {
+	in := "%%MatrixMarket matrix coordinate real general\n10 10 400000000\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadLimited(strings.NewReader(in), 512)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("err = %v, want an EOF failure", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes for a %d-byte input, want < 1 MiB", got, len(in))
+	}
+}
+
+// TestRejectsDimensionsAboveInt32: indices are stored as int32, so a
+// larger declared dimension would wrap to negative indices.
+func TestRejectsDimensionsAboveInt32(t *testing.T) {
+	for _, in := range []string{
+		"%%MatrixMarket matrix coordinate real general\n3000000000 2 1\n3000000000 1 1.0\n",
+		"%%MatrixMarket matrix coordinate pattern general\n2 3000000000 1\n1 3000000000\n",
+		"%%MatrixMarket matrix array real general\n3000000000 1\n",
+	} {
+		if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "dimension above") {
+			t.Errorf("%q: err = %v, want a dimension error", in, err)
+		}
 	}
 }

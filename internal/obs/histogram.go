@@ -7,14 +7,10 @@ import (
 	"strconv"
 )
 
-// Histogram is a fixed-bucket cumulative latency histogram, the one
-// implementation shared by the hetserve and hetgate metric registries
-// and the span sink's stage profiles (it used to live, nearly
-// duplicated, in internal/serve and internal/cluster).
+// Histogram is a fixed-bucket cumulative latency histogram.
 //
-// It is not internally locked: every owner already serializes metric
-// updates under its own mutex, and paying for a second lock per
-// observation would be pure overhead.
+// It is not internally locked: its owner, a HistogramVec, serializes
+// observations and scrape-time snapshots under the vector's mutex.
 type Histogram struct {
 	buckets []float64
 	counts  []uint64 // one per bucket, plus +Inf at the end

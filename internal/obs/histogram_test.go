@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestHistogramBucketing is the shared histogram's contract test: it
-// used to live in internal/serve before the implementation was
-// deduplicated into this package.
+// TestHistogramBucketing is the histogram's contract test: cumulative
+// buckets, inclusive upper bounds, and +Inf catching the rest.
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram([]float64{0.001, 0.01, 0.1})
 	h.Observe(0.0001) // below the first bound

@@ -5,7 +5,7 @@
 // The paper's framework is a three-stage pipeline (Sample → Identify →
 // Extrapolate); debugging partitioning decisions requires seeing where
 // an estimate's time goes, not just whole-request latency. This
-// package provides the three pieces the serving stack (hetgate →
+// package provides the pieces the serving stack (hetgate →
 // hetserve → internal/core) shares:
 //
 //   - Tracing: a context-carried span tree. StartSpan opens a child of
@@ -22,10 +22,14 @@
 //
 //   - Profiling: the Sink doubles as a stage profiler — every finished
 //     span feeds a fixed-bucket latency histogram keyed by span name,
-//     rendered in the Prometheus text format as
-//     <service>_stage_seconds. Recent traces are browsable as JSON at
-//     /debug/spans (Sink.Handler), and RegisterPprof wires
-//     net/http/pprof into a mux behind an opt-in flag.
+//     registered as <service>_stage_seconds. Recent traces are
+//     browsable as JSON at /debug/spans (Sink.Handler), and
+//     RegisterPprof wires net/http/pprof into a mux behind an opt-in
+//     flag.
+//
+//   - Metrics: a Registry of declared counters, scrape-time gauges and
+//     histogram vectors with the one Prometheus text writer both
+//     daemons' /metrics endpoints use.
 //
 // Everything is low-cardinality by construction: span names are
 // static stage labels ("sample", "identify", "extrapolate", ...), so

@@ -3,9 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -51,7 +49,7 @@ type Sink struct {
 	ring   []SpanRecord // ring[next] is the next write slot once full
 	next   int
 	total  uint64 // spans ever observed; total - len(ring) were evicted
-	stages map[string]*Histogram
+	stages *HistogramVec
 }
 
 // NewSink returns a Sink holding at most capacity spans
@@ -60,7 +58,7 @@ func NewSink(capacity int) *Sink {
 	if capacity <= 0 {
 		capacity = DefaultSinkCapacity
 	}
-	return &Sink{cap: capacity, stages: make(map[string]*Histogram)}
+	return &Sink{cap: capacity, stages: NewHistogramVec(stageBuckets)}
 }
 
 // Observe records a finished span. Called by Span.Finish.
@@ -84,7 +82,6 @@ func (k *Sink) Observe(sp *Span) {
 		}
 	}
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	if len(k.ring) < k.cap {
 		k.ring = append(k.ring, rec)
 	} else {
@@ -92,12 +89,8 @@ func (k *Sink) Observe(sp *Span) {
 		k.next = (k.next + 1) % k.cap
 	}
 	k.total++
-	h, ok := k.stages[sp.Name]
-	if !ok {
-		h = NewHistogram(stageBuckets)
-		k.stages[sp.Name] = h
-	}
-	h.Observe(sp.Duration().Seconds())
+	k.mu.Unlock()
+	k.stages.Observe(sp.Name, sp.Duration().Seconds())
 }
 
 // Stats reports stored and total (lifetime) span counts; the
@@ -184,38 +177,9 @@ func (k *Sink) Handler() http.Handler {
 	})
 }
 
-// WriteProm renders the per-stage latency histograms under the given
-// metric name (e.g. "hetserve_stage_seconds") in the Prometheus text
-// format, one label set per span name.
-func (k *Sink) WriteProm(w io.Writer, metric string) (int64, error) {
-	k.mu.Lock()
-	names := make([]string, 0, len(k.stages))
-	for name := range k.stages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	// Snapshot under the lock so rendering (which does I/O) doesn't
-	// block observers.
-	snap := make([]*Histogram, len(names))
-	for i, name := range names {
-		h := k.stages[name]
-		c := &Histogram{buckets: h.buckets, counts: append([]uint64(nil), h.counts...), sum: h.sum, total: h.total}
-		snap[i] = c
-	}
-	k.mu.Unlock()
-
-	var n int64
-	c, err := fmt.Fprintf(w, "# HELP %s Span duration by pipeline stage.\n# TYPE %s histogram\n", metric, metric)
-	n += int64(c)
-	if err != nil {
-		return n, err
-	}
-	for i, name := range names {
-		c, err := snap[i].WriteProm(w, metric, fmt.Sprintf("stage=%q", name))
-		n += c
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+// Register declares the per-stage latency histograms in r under the
+// given metric name (e.g. "hetserve_stage_seconds"), one label set per
+// span name.
+func (k *Sink) Register(r *Registry, metric string) {
+	r.Histograms(metric, "Span duration by pipeline stage.", "stage", k.stages)
 }

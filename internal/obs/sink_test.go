@@ -37,7 +37,9 @@ func TestSinkRingEvictsOldest(t *testing.T) {
 	// Histograms survive eviction: they profile every span ever seen.
 	for i := 0; i < 5; i++ {
 		var sb strings.Builder
-		if _, err := sink.WriteProm(&sb, "test_stage_seconds"); err != nil {
+		var r Registry
+		sink.Register(&r, "test_stage_seconds")
+		if _, err := r.WriteTo(&sb); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(sb.String(), fmt.Sprintf(`stage="s%d"`, i)) {

@@ -88,7 +88,7 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 		if errors.As(err, &tooBig) {
 			status, codeStr = http.StatusRequestEntityTooLarge, "too_large"
 		}
-		s.metrics.BatchRejected()
+		s.metrics.batchRejected.Inc()
 		body := errorBody(ctx, err)
 		body["code"] = codeStr
 		s.logger.ErrorContext(ctx, "estimate-batch rejected",
@@ -108,13 +108,14 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 			status = he.code
 		}
 		if status == http.StatusGatewayTimeout {
-			s.metrics.DeadlineExceeded()
+			s.metrics.deadlineExceeded.Inc()
 		}
 		writeJSON(w, status, errorBody(ctx, terr))
 		return status
 	}
 
-	s.metrics.BatchJob(len(job.Items))
+	s.metrics.batchJobs.Inc()
+	s.metrics.batchItems.Add(uint64(len(job.Items)))
 	items := make([]*batchItem, len(job.Items))
 	for i, src := range job.Items {
 		items[i] = s.newBatchItem(src)
@@ -138,10 +139,10 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 // trailer.
 func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*batchItem, start time.Time) {
 	summary := batch.Summary{Items: len(items)}
-	_, buildsBefore := s.metrics.BuildCounts()
+	buildsBefore := s.metrics.buildMisses.Value()
 	emit := func(e batch.Event) { _ = bw.Emit(e) }
 	s.runItems(jobCtx, items, emit, &summary)
-	_, buildsAfter := s.metrics.BuildCounts()
+	buildsAfter := s.metrics.buildMisses.Value()
 	// Builds that actually ran: build-cache misses during the job,
 	// approximate under concurrent single-request traffic.
 	summary.Builds = int(buildsAfter - buildsBefore)
@@ -161,13 +162,13 @@ func (s *Server) runItems(jobCtx context.Context, items []*batchItem, emit func(
 	for _, it := range items {
 		if it.err != nil {
 			summary.Failed++
-			s.metrics.BatchItem("invalid")
+			s.metrics.batchOutcomes.With("invalid").Inc()
 			emit(batch.Event{Type: batch.EventError, Item: it.name, Code: batch.CodeInvalid, Error: it.err.Error()})
 			continue
 		}
 		if resp, hit := s.cached(it.req); hit {
 			summary.Completed++
-			s.metrics.BatchItem("cached")
+			s.metrics.batchOutcomes.With("cached").Inc()
 			emit(batch.Event{Type: batch.EventRefined, Item: it.name, Estimate: marshalEstimate(*resp)})
 			continue
 		}
@@ -195,7 +196,7 @@ func (s *Server) runItems(jobCtx context.Context, items []*batchItem, emit func(
 			summary.Admissions = 1
 		}
 		if err != nil && errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed()
+			s.metrics.shed.Inc()
 		}
 	}
 
@@ -203,7 +204,7 @@ func (s *Server) runItems(jobCtx context.Context, items []*batchItem, emit func(
 	// item, never 429 the whole job.
 	for _, it := range pending[admitted:] {
 		summary.Shed++
-		s.metrics.BatchItem("shed")
+		s.metrics.batchOutcomes.With("shed").Inc()
 		resp, ok := s.degraded(it.req)
 		if !ok {
 			emit(batch.Event{Type: batch.EventError, Item: it.name, Code: batch.CodeShed,
@@ -223,7 +224,7 @@ func (s *Server) runItems(jobCtx context.Context, items []*batchItem, emit func(
 	if err := s.acquireWorker(jobCtx); err != nil {
 		for _, it := range run {
 			summary.Failed++
-			s.metrics.BatchItem("deadline")
+			s.metrics.batchOutcomes.With("deadline").Inc()
 			emit(batch.Event{Type: batch.EventError, Item: it.name,
 				Code: batch.CodeDeadline, Error: err.Error()})
 		}
@@ -254,8 +255,8 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 		per := remaining / time.Duration(itemsLeft)
 		if per < resilience.MinBudget {
 			sum.Failed++
-			s.metrics.DeadlineExceeded()
-			s.metrics.BatchItem("deadline")
+			s.metrics.deadlineExceeded.Inc()
+			s.metrics.batchOutcomes.With("deadline").Inc()
 			emit(batch.Event{Type: batch.EventError, Item: it.name, Code: batch.CodeDeadline,
 				Error: fmt.Sprintf("carved budget %v below minimum %v", per, resilience.MinBudget)})
 			return
@@ -275,16 +276,16 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 		span.Finish()
 		code, outcome := classifyItemError(err)
 		if code == batch.CodeDeadline {
-			s.metrics.DeadlineExceeded()
+			s.metrics.deadlineExceeded.Inc()
 		}
 		sum.Failed++
-		s.metrics.BatchItem(outcome)
+		s.metrics.batchOutcomes.With(outcome).Inc()
 		emit(batch.Event{Type: batch.EventError, Item: it.name, Code: code, Error: err.Error()})
 		return
 	}
 	span.Finish()
 	sum.Completed++
-	s.metrics.BatchItem("refined")
+	s.metrics.batchOutcomes.With("refined").Inc()
 	emit(batch.Event{Type: batch.EventRefined, Item: it.name, Estimate: marshalEstimate(*resp)})
 }
 

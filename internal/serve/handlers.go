@@ -131,7 +131,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			code = statusFor(err)
 		}
 		if code == http.StatusGatewayTimeout && errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.DeadlineExceeded()
+			s.metrics.deadlineExceeded.Inc()
 		}
 		s.logger.ErrorContext(r.Context(), "estimate failed",
 			slog.String("method", r.Method),
@@ -194,7 +194,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, start time.Tim
 	// leader's outcome, deadline included; that is the usual
 	// singleflight trade and estimation results are request-agnostic.
 	v, err, leader := s.flight.Do(req.cacheKey(), func() (any, error) {
-		s.metrics.CacheMiss()
+		s.metrics.cacheMisses.Inc()
 		// Anchored at arrival, not here: with a propagated budget this
 		// server must give up strictly before its caller does, even when
 		// reading the upload ate a slice of the budget already.
@@ -219,7 +219,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, start time.Tim
 	}
 	fresh := *(v.(*EstimateResponse)) // copy; Coalesced/WallMS are per-request
 	if !leader {
-		s.metrics.Coalesced()
+		s.metrics.coalesced.Inc()
 		fresh.Coalesced = true
 		// The pipeline spans live in the leader's trace; mark the
 		// follower's server span so the coalescing is visible there too.
@@ -244,9 +244,9 @@ func (s *Server) cached(req *request) (*EstimateResponse, bool) {
 	e := v.(cacheEntry)
 	resp := e.resp
 	resp.Cached = true
-	s.metrics.CacheHit()
+	s.metrics.cacheHits.Inc()
 	if s.stale(e.at) {
-		s.metrics.StaleServed()
+		s.metrics.staleServed.Inc()
 		resp.Stale = true
 		s.revalidate(req)
 	}
@@ -368,7 +368,7 @@ func (s *Server) degraded(req *request) (*EstimateResponse, bool) {
 		}
 	}
 	resp.Degraded = true
-	s.metrics.Degraded()
+	s.metrics.degraded.Inc()
 	return &resp, true
 }
 
@@ -383,7 +383,7 @@ func (s *Server) revalidate(req *request) {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 		defer cancel()
 		_, err, _ := s.flight.Do(r.cacheKey(), func() (any, error) {
-			s.metrics.CacheMiss()
+			s.metrics.cacheMisses.Inc()
 			return s.run(ctx, &r, modeRequest, nil)
 		})
 		if err != nil && !errors.Is(err, resilience.ErrOverloaded) {
@@ -431,7 +431,7 @@ func (s *Server) admit(ctx context.Context, cost int64) (release func(), err err
 	aspan.Finish()
 	if err != nil {
 		if errors.Is(err, resilience.ErrOverloaded) {
-			s.metrics.Shed()
+			s.metrics.shed.Inc()
 			return nil, err
 		}
 		return nil, fmt.Errorf("waiting for admission: %w", err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -17,9 +18,9 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("in flight = %d, want 0", m.InFlight())
 	}
 	m.RequestStarted("cc")(404, time.Millisecond)
-	m.CacheMiss()
-	m.CacheMiss()
-	m.CacheHit()
+	m.cacheMisses.Inc()
+	m.cacheMisses.Inc()
+	m.cacheHits.Inc()
 
 	var sb strings.Builder
 	if _, err := m.WriteTo(&sb); err != nil {
@@ -41,5 +42,49 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := m.CacheHitRatio(); got < 0.33 || got > 0.34 {
 		t.Errorf("hit ratio = %v, want ~1/3", got)
+	}
+}
+
+// blockingWriter stands in for a stalled scrape connection: every
+// Write blocks until release is closed.
+type blockingWriter struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestScrapeDoesNotBlockRequests: a scrape stuck writing to a slow
+// client must not hold any lock a request needs to record itself.
+func TestScrapeDoesNotBlockRequests(t *testing.T) {
+	m := NewMetrics()
+	m.RequestStarted("cc")(200, time.Millisecond)
+	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		m.WriteTo(w)
+		close(scraped)
+	}()
+	defer func() {
+		close(w.release)
+		<-scraped
+	}()
+	<-w.entered
+
+	done := make(chan struct{})
+	go func() {
+		m.RequestStarted("cc")(200, 2*time.Millisecond)
+		m.cacheHits.Inc()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request accounting blocked behind a stalled /metrics write")
 	}
 }

@@ -231,7 +231,7 @@ func (s *Server) search(ctx context.Context, req *request, w any, meta storeMeta
 	var warm *core.WarmStart
 	if meta.hit {
 		warm = &core.WarmStart{Threshold: meta.n.Entry.Threshold}
-		s.metrics.StoreWarmStart()
+		s.metrics.storeWarmStarts.Inc()
 	}
 	// The metrics registry observes every Evaluate call the pipeline
 	// makes — sequential or fanned out — for the in-flight gauge.
@@ -385,7 +385,7 @@ func (s *Server) build(ctx context.Context, req *request) (w any, err error) {
 		}
 		// Uploads are still real constructions: count them so batch
 		// summaries report build work for upload items too.
-		s.metrics.BuildMiss()
+		s.metrics.buildMisses.Inc()
 	} else {
 		var hit bool
 		w, hit, err = s.builds.get(s.buildKey(req), func() (any, error) {
@@ -399,10 +399,10 @@ func (s *Server) build(ctx context.Context, req *request) (w any, err error) {
 			return nil, badRequest("%v", err)
 		}
 		if hit {
-			s.metrics.BuildHit()
+			s.metrics.buildHits.Inc()
 			cacheAttr = "hit"
 		} else {
-			s.metrics.BuildMiss()
+			s.metrics.buildMisses.Inc()
 			cacheAttr = "miss"
 		}
 	}

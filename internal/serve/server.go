@@ -185,16 +185,17 @@ func New(cfg Config) *Server {
 	s.platformSig = s.platform.Signature()
 	s.feats = make(map[string]store.Features)
 	if s.store != nil {
-		s.metrics.SetStoreStats(s.store.Len)
+		s.metrics.storeStats = s.store.Len
 	}
-	s.metrics.SetCacheStats(s.cache.Stats)
-	s.metrics.SetAdmissionStats(func() AdmissionStats {
+	s.metrics.cacheStats = s.cache.Stats
+	s.metrics.admissionStats = func() AdmissionStats {
 		return AdmissionStats{
 			QueueDepth: s.admission.Depth(),
 			CostInUse:  s.admission.InFlight(),
 			CostLimit:  s.admission.Limit(),
 		}
-	})
+	}
+	s.sink.Register(&s.metrics.reg, "hetserve_stage_seconds")
 	// The estimation routes get the full middleware (request IDs,
 	// server spans, request log lines); /healthz and /metrics stay
 	// bare so 2-second gateway probes don't flood the span ring.
@@ -245,12 +246,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := s.metrics.WriteTo(w); err != nil {
 		s.logger.Error("writing metrics", slog.Any("err", err))
-		return
-	}
-	// Stage profiles come from the span sink: every finished span feeds
-	// a histogram keyed by its name (sample/identify/extrapolate/...).
-	if _, err := s.sink.WriteProm(w, "hetserve_stage_seconds"); err != nil {
-		s.logger.Error("writing stage metrics", slog.Any("err", err))
 	}
 }
 

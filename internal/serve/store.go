@@ -100,7 +100,7 @@ func (s *Server) storeLookup(ctx context.Context, req *request, cw core.Sampled)
 	if !hit {
 		return meta
 	}
-	s.metrics.StoreHit()
+	s.metrics.storeHits.Inc()
 	span.SetAttr("neighbor", n.Entry.Key)
 	span.SetAttr("distance", fmt.Sprintf("%.4f", n.Distance))
 	span.SetAttr("drifted", strconv.FormatBool(n.Drifted))
@@ -151,7 +151,7 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 		defer s.admission.Release(probeCost)
 	}
 
-	s.metrics.StoreProbe()
+	s.metrics.storeProbes.Inc()
 	lo, hi := core.RangeOf(cw, core.Config{})
 	t := min(max(meta.n.Entry.Threshold, lo), hi)
 	span.SetAttr("threshold", fmt.Sprintf("%.2f", t))
@@ -190,14 +190,14 @@ func (s *Server) probeTransfer(ctx context.Context, req *request, cw core.Sample
 	key := meta.n.Entry.Key
 	if !s.store.AcceptProbe(int64(costs[0]), others...) {
 		span.SetAttr("accepted", "false")
-		s.metrics.StoreReject()
+		s.metrics.storeRejects.Inc()
 		if s.store.Observe(req.workload, key, false) {
 			s.scheduleReestimate(req.workload, key)
 		}
 		return nil, false, nil
 	}
 	span.SetAttr("accepted", "true")
-	s.metrics.StoreSkip()
+	s.metrics.storeSkips.Inc()
 	s.store.Observe(req.workload, key, true)
 	// The probe verified this threshold on *this* input at full
 	// scale: record it under the input's own key so future neighbors
@@ -241,7 +241,7 @@ func (s *Server) scheduleReestimate(workload, storeKey string) {
 	flightKey := "reestimate|" + workload + "|" + storeKey
 	go func() {
 		_, _, _ = s.reestimates.Do(flightKey, func() (any, error) {
-			s.metrics.StoreReestimate()
+			s.metrics.storeReestimates.Inc()
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 			defer cancel()
 			req := newRequest()
