@@ -5,20 +5,33 @@ import (
 	"testing"
 )
 
-// intoVariants pairs each scratch-based kernel with its allocating
-// original; the Into form must reproduce labels AND work counters
-// exactly, since the simulator charges device time from the counters.
+// intoVariants pairs each tuned scratch kernel with its frozen
+// reference (reference.go) run on a fresh scratch; the tuned form must
+// reproduce labels AND work counters exactly, since the simulator
+// charges device time from the counters. The allocating DFS,
+// ParallelCPU and ShiloachVishkin wrap the tuned kernels, so this also
+// pins them.
 var intoVariants = []struct {
 	name string
 	orig func(*Graph) *CCResult
 	into func(*Graph, *CCResult, *CCScratch)
 }{
-	{"DFS", DFS, DFSInto},
-	{"ParallelCPU4", func(g *Graph) *CCResult { return ParallelCPU(g, 4) },
+	{"DFS", fresh(DFSRef), DFSInto},
+	{"ParallelCPU4", fresh(func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPURef(g, 4, res, s) }),
 		func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPUInto(g, 4, res, s) }},
-	{"ParallelCPU1", func(g *Graph) *CCResult { return ParallelCPU(g, 1) },
+	{"ParallelCPU1", fresh(func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPURef(g, 1, res, s) }),
 		func(g *Graph, res *CCResult, s *CCScratch) { ParallelCPUInto(g, 1, res, s) }},
-	{"ShiloachVishkin", ShiloachVishkin, ShiloachVishkinInto},
+	{"ShiloachVishkin", fresh(ShiloachVishkinRef), ShiloachVishkinInto},
+}
+
+// fresh runs a reference kernel on its own scratch, so the result it
+// returns is independently owned.
+func fresh(ref func(*Graph, *CCResult, *CCScratch)) func(*Graph) *CCResult {
+	return func(g *Graph) *CCResult {
+		res := new(CCResult)
+		ref(g, res, new(CCScratch))
+		return res
+	}
 }
 
 func TestIntoVariantsMatchOriginals(t *testing.T) {
@@ -33,7 +46,7 @@ func TestIntoVariantsMatchOriginals(t *testing.T) {
 			var s CCScratch
 			v.into(g, &got, &s)
 			if !reflect.DeepEqual(&got, want) {
-				t.Errorf("%v/%s: Into result differs from original\n got %+v\nwant %+v",
+				t.Errorf("%v/%s: Into result differs from reference\n got %+v\nwant %+v",
 					kind, v.name, abbrev(&got), abbrev(want))
 			}
 		}
@@ -56,7 +69,7 @@ func TestIntoScratchReuse(t *testing.T) {
 			want := v.orig(g)
 			v.into(g, &res, &s)
 			if !reflect.DeepEqual(&res, want) {
-				t.Errorf("%s: n=%d reused scratch diverges from original", v.name, n)
+				t.Errorf("%s: n=%d reused scratch diverges from reference", v.name, n)
 			}
 		}
 	}

@@ -62,6 +62,7 @@ func TestGoldenResponses(t *testing.T) {
 			{method: "GET", path: "/estimate?workload=spmm&dataset=cant&devices=3&repeats=1&seed=3"},
 			{method: "GET", path: "/estimate?workload=spmm&dataset=cant&devices=3&repeats=1&seed=3"},
 		}},
+		{name: "devices3_cc", steps: []goldenStep{{method: "GET", path: "/estimate?workload=cc&dataset=netherlands_osm&devices=3&repeats=2&seed=5"}}},
 		{name: "upload", steps: []goldenStep{
 			{method: "POST", path: "/estimate?workload=spmm&repeats=1", body: small},
 			{method: "POST", path: "/estimate?workload=spmm&repeats=1", body: small},
