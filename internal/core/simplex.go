@@ -132,6 +132,21 @@ func (p Partition) Validate() error {
 	return nil
 }
 
+// ValidateDevices is Validate plus a shape check against a platform of
+// devices devices: the vector must carry exactly one share per device.
+func (p Partition) ValidateDevices(devices int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if len(p) != devices {
+		return &PartitionError{
+			Shares: p.Clone(), Index: -1, Sum: p.Sum(),
+			Reason: fmt.Sprintf("has %d shares, platform has %d devices", len(p), devices),
+		}
+	}
+	return nil
+}
+
 // PartitionWorkload is a heterogeneous algorithm instance whose work
 // partition is a share vector over N >= 2 devices.
 type PartitionWorkload interface {

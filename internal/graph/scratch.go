@@ -71,11 +71,12 @@ func (s *CCScratch) minOfFor(n int) []int32 {
 	return s.minOf
 }
 
-// DFSInto is DFS drawing its buffers from s. The result is written
-// into res (fully overwritten); res.Labels alias s. The inner loop
-// walks the CSR arrays directly and charges EdgesVisited per popped
-// vertex (its full degree) instead of per arc — the counter totals
-// are identical to DFSRef's, pinned by the golden suite.
+// DFSInto is the sequential depth-first CC kernel (see DFS) drawing
+// its buffers from s. The result is written into res (fully
+// overwritten); res.Labels alias s. The inner loop walks the CSR
+// arrays directly and charges EdgesVisited per popped vertex (its full
+// degree) instead of per arc — the counter totals are identical to
+// DFSRef's, pinned by the golden suite.
 func DFSInto(g *Graph, res *CCResult, s *CCScratch) {
 	labels := s.labelsFor(g.N)
 	for v := range labels {
@@ -317,15 +318,24 @@ func lowerBound32(row []int32, bound int32) int {
 	return lo
 }
 
-// ParallelCPUInto reproduces ParallelCPU's partitioned restricted-DFS
-// bit for bit while drawing all buffers from s. The parts are executed
-// one after another on the calling goroutine: each ParallelCPU worker
-// reads and writes labels only inside its own vertex range (cross-part
-// arcs are skipped and merged later), so the partial labelings are
-// independent and sequential execution yields the identical result.
-// Parallel Identify sweeps rely on this — the search engine already
-// saturates the machine across grid points, and nested per-evaluation
-// goroutine fan-out would only add scheduling overhead.
+// ParallelCPUInto computes connected components the way `workers`
+// threads would, drawing all buffers from s: the vertex range is
+// divided into equal parts, each worker runs a restricted DFS inside
+// its part (the paper's Phase I line 6: "Divide G_CPU into equal parts
+// ... when using c threads"), and the partial labelings are then
+// merged through a union–find pass over the part-crossing edges. Work
+// counters are summed over all workers; the EdgesVisited counter
+// therefore reflects total (not critical-path) work, and the simulator
+// divides by the worker count when charging time.
+//
+// The parts are executed one after another on the calling goroutine:
+// each worker reads and writes labels only inside its own vertex range
+// (cross-part arcs are skipped and merged later), so the partial
+// labelings are independent and sequential execution yields the result
+// a concurrent run would. Parallel Identify sweeps rely on this — the
+// search engine already saturates the machine across grid points, and
+// nested per-evaluation goroutine fan-out would only add scheduling
+// overhead.
 func ParallelCPUInto(g *Graph, workers int, res *CCResult, s *CCScratch) {
 	if workers <= 1 || g.N < 2*workers {
 		DFSInto(g, res, s)
@@ -393,7 +403,13 @@ func ParallelCPUInto(g *Graph, workers int, res *CCResult, s *CCScratch) {
 	res.Components = CanonicalizeMinLabelsCountInto(labels, s.minOfFor(g.N))
 }
 
-// ShiloachVishkinInto is ShiloachVishkin drawing its buffers from s.
+// ShiloachVishkinInto computes connected components with the classic
+// hooking + pointer-jumping algorithm of Shiloach and Vishkin, the
+// paper's GPU kernel, drawing its buffers from s. The per-round
+// structure is preserved (every round scans the active arcs for hooks
+// and then jumps all pointers) so that Rounds, VerticesVisited and
+// EdgesVisited reflect exactly the work a GPU implementation would
+// perform; the simulator charges GPU time from these counters.
 //
 // It is the tuned form of ShiloachVishkinRef, exploiting the kernel's
 // parent-monotonicity invariant: every write keeps parent[v] <= v
@@ -417,8 +433,11 @@ func ParallelCPUInto(g *Graph, workers int, res *CCResult, s *CCScratch) {
 //     length and vertex count) instead of per arc — same totals, no
 //     increment in the inner loops.
 //
-// The frontier compaction (active edges whose endpoints converged are
-// dropped each round) is inherited from the reference.
+// The frontier compaction is inherited from the reference: GPU
+// implementations filter converged edges between rounds (as in Soman
+// et al.), so later rounds scan less; EdgesVisited counts the edge
+// slots each hooking kernel actually reads, which is what the
+// simulator charges.
 func ShiloachVishkinInto(g *Graph, res *CCResult, s *CCScratch) {
 	active := s.active[:0]
 	rp, adj := g.RowPtr, g.Adj
@@ -459,6 +478,18 @@ func ShiloachVishkinSuffixInto(rowPtr []int64, adj []int32, split []int32, bound
 
 // shiloachVishkinRun executes the hooking/jumping rounds over the
 // frontier staged in s.active for an n-vertex graph.
+//
+// old holds the parent snapshot taken at the start of each round.
+// Hooking decisions read only the snapshot, which reproduces the
+// parallel semantics of one GPU kernel launch over the edge list: all
+// threads observe the pre-round state, and conflicting hooks onto the
+// same root resolve to the minimum (a deterministic stand-in for the
+// arbitrary-winner races of real hardware). Only roots may be hooked,
+// which prevents cycles. Pointer jumping is one synchronous shortcut
+// pass per round (parent[v] ← parent[parent[v]] for all v at once),
+// exactly one kernel launch, so high-diameter graphs need many rounds
+// and many edge re-scans — the structural property that makes GPUs
+// slow on road networks and the simulator's cost model input.
 func shiloachVishkinRun(n int, res *CCResult, s *CCScratch) {
 	parent := s.labelsFor(n)
 	for v := range parent {

@@ -125,6 +125,20 @@ func TestUnionFindReset(t *testing.T) {
 	}
 }
 
+// canonicalizeMinLabels is the map-based canonicalization the slice
+// form replaced, kept here as its specification.
+func canonicalizeMinLabels(labels []int32) {
+	minOf := make(map[int32]int32, 16)
+	for v, l := range labels {
+		if cur, ok := minOf[l]; !ok || int32(v) < cur {
+			minOf[l] = int32(v)
+		}
+	}
+	for v := range labels {
+		labels[v] = minOf[labels[v]]
+	}
+}
+
 func TestCanonicalizeMinLabelsIntoMatchesMap(t *testing.T) {
 	labels := []int32{4, 4, 2, 2, 4, 5, 2}
 	viaMap := append([]int32(nil), labels...)

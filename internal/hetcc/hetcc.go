@@ -38,11 +38,15 @@ func NewAlgorithm(p *hetsim.Platform) *Algorithm {
 	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
 }
 
-func (a *Algorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
+func (a *Algorithm) threads() int { return threads(a.CPUThreads, a.Platform.CPU) }
+
+// threads is the CPU worker count c: the configured count, or the
+// device's core count when unset.
+func threads(configured int, cpu *hetsim.Device) int {
+	if configured > 0 {
+		return configured
 	}
-	return a.Platform.CPU.Spec.Cores
+	return cpu.Spec.Cores
 }
 
 // Result is the outcome of one heterogeneous CC run.
@@ -75,17 +79,9 @@ func (a *Algorithm) Run(g *graph.Graph, t float64) (*Result, error) {
 	return res, nil
 }
 
-// cpuTime charges the partitioned multi-threaded DFS. The per-thread
-// parts are rebalanced dynamically (work stealing), so the DFS work is
-// charged as near-fully-parallel over the total arc count; the
-// cross-part label merge is a half-sequential union–find pass over
-// part-crossing arcs.
-func (a *Algorithm) cpuTime(gCPU *graph.Graph) time.Duration {
-	return ccCPUTime(a.Platform.CPU, a.threads(), gCPU)
-}
-
-// ccCPUTime is the device-parametric CPU cost of the partitioned
-// multi-threaded DFS; shared with the multi-accelerator variant.
+// ccCPUTime charges the partitioned multi-threaded DFS on a
+// materialized G_CPU; the multi-accelerator runner uses it, and
+// ccCPUTimeSplit is the same charge read through the split index.
 func ccCPUTime(dev *hetsim.Device, c int, gCPU *graph.Graph) time.Duration {
 	if gCPU.N == 0 {
 		return 0
@@ -104,27 +100,7 @@ func ccCPUTime(dev *hetsim.Device, c int, gCPU *graph.Graph) time.Duration {
 			crossPart += int64(len(adj) - inPart)
 		}
 	}
-	// A DFS edge visit is a dependent-load chain (fetch neighbor,
-	// check label, branch, push): ~40 cycle-equivalent ops per arc
-	// once cache misses are amortized in.
-	const dfsOpsPerArc = 40
-	arcs := int64(gCPU.Arcs())
-	dfs := hetsim.Kernel{
-		Name:             "cc-dfs",
-		Ops:              dfsOpsPerArc * arcs,
-		Bytes:            9 * arcs, // adjacency + label touches
-		Launches:         c,
-		IrregularityCV:   gCPU.DegreeCV(),
-		ParallelFraction: 0.98,
-	}
-	merge := hetsim.Kernel{
-		Name:             "cc-cpu-merge",
-		Ops:              12 * crossPart,
-		Bytes:            8 * crossPart,
-		Launches:         1,
-		ParallelFraction: 0.5,
-	}
-	return dev.TimeAll(dfs, merge)
+	return ccCPUCost(dev, c, int64(gCPU.Arcs()), crossPart, gCPU.DegreeCV())
 }
 
 // ccCPUTimeSplit is ccCPUTime reading G_CPU through the split index
@@ -139,13 +115,26 @@ func ccCPUTimeSplit(dev *hetsim.Device, c int, split []int32, nCPU int, cpuArcs,
 	if nCPU == 0 {
 		return 0
 	}
+	return ccCPUCost(dev, c, cpuArcs, crossPart, degreeCVPrefix(split, nCPU, cpuArcs))
+}
+
+// ccCPUCost is the CPU charge of c-thread CC over a partition with
+// arcs arcs, crossPart of them crossing thread parts, and degree CV
+// cv. The per-thread parts are rebalanced dynamically (work stealing),
+// so the DFS work is charged as near-fully-parallel over the total arc
+// count; the cross-part label merge is a half-sequential union–find
+// pass over part-crossing arcs.
+func ccCPUCost(dev *hetsim.Device, c int, arcs, crossPart int64, cv float64) time.Duration {
+	// A DFS edge visit is a dependent-load chain (fetch neighbor,
+	// check label, branch, push): ~40 cycle-equivalent ops per arc
+	// once cache misses are amortized in.
 	const dfsOpsPerArc = 40
 	dfs := hetsim.Kernel{
 		Name:             "cc-dfs",
-		Ops:              dfsOpsPerArc * cpuArcs,
-		Bytes:            9 * cpuArcs,
+		Ops:              dfsOpsPerArc * arcs,
+		Bytes:            9 * arcs, // adjacency + label touches
 		Launches:         c,
-		IrregularityCV:   degreeCVPrefix(split, nCPU, cpuArcs),
+		IrregularityCV:   cv,
 		ParallelFraction: 0.98,
 	}
 	merge := hetsim.Kernel{
@@ -211,59 +200,36 @@ func degreeCVSuffix(rowPtr []int64, split []int32, bound, n int, arcs int64) flo
 	return math.Sqrt(m2) / mean
 }
 
+// ccGPUTime charges Shiloach–Vishkin on a materialized G_GPU from its
+// measured counters.
+func ccGPUTime(dev *hetsim.Device, gGPU *graph.Graph, r *graph.CCResult) time.Duration {
+	if gGPU.N == 0 {
+		return 0
+	}
+	return ccSVCost(dev, r, gGPU.DegreeCV())
+}
+
 // ccGPUTimeSplit is ccGPUTime with the suffix partition's degree CV
 // computed through the split index.
 func ccGPUTimeSplit(dev *hetsim.Device, g *graph.Graph, split []int32, nCPU int, gpuArcs int64, r *graph.CCResult) time.Duration {
 	if g.N-nCPU == 0 {
 		return 0
 	}
-	k := hetsim.Kernel{
-		Name:             "cc-sv",
-		Ops:              2 * r.EdgesVisited,
-		Bytes:            10 * r.EdgesVisited,
-		Launches:         2 * r.Rounds,
-		ParallelFraction: 1, // per-kernel serialization is the launch latency
-
-		IrregularityCV: degreeCVSuffix(g.RowPtr, split, nCPU, g.N, gpuArcs),
-	}
-	return dev.Time(k)
+	return ccSVCost(dev, r, degreeCVSuffix(g.RowPtr, split, nCPU, g.N, gpuArcs))
 }
 
-// gpuTime charges Shiloach–Vishkin from its measured counters: every
+// ccSVCost charges Shiloach–Vishkin from its measured counters: every
 // round launches a hooking kernel over the arcs and a jump kernel over
-// the vertices; divergence grows with the degree irregularity.
-func (a *Algorithm) gpuTime(gGPU *graph.Graph, r *graph.CCResult) time.Duration {
-	return ccGPUTime(a.Platform.GPU, gGPU, r)
-}
-
-// ccGPUTime is the device-parametric GPU cost of Shiloach–Vishkin;
-// shared with the multi-accelerator variant.
-func ccGPUTime(dev *hetsim.Device, gGPU *graph.Graph, r *graph.CCResult) time.Duration {
-	if gGPU.N == 0 {
-		return 0
-	}
-	k := hetsim.Kernel{
+// the vertices; divergence grows with the degree irregularity cv.
+func ccSVCost(dev *hetsim.Device, r *graph.CCResult, cv float64) time.Duration {
+	return dev.Time(hetsim.Kernel{
 		Name:             "cc-sv",
 		Ops:              2 * r.EdgesVisited,
 		Bytes:            10 * r.EdgesVisited,
 		Launches:         2 * r.Rounds,
 		ParallelFraction: 1, // per-kernel serialization is the launch latency
-
-		IrregularityCV: gGPU.DegreeCV(),
-	}
-	return dev.Time(k)
-}
-
-// partition splits g at vertex nCPU into G_CPU (vertices [0, nCPU)),
-// G_GPU (vertices [nCPU, n), renumbered from 0) and the cross-edge
-// list (in original vertex ids, u < nCPU <= v). The returned graphs
-// are freshly owned; the hot path uses partitionInto directly.
-func partition(g *graph.Graph, nCPU int) (gCPU, gGPU *graph.Graph, cross []graph.Edge, err error) {
-	var s runScratch
-	if err := partitionInto(g, nCPU, &s); err != nil {
-		return nil, nil, nil, err
-	}
-	return &s.gCPU, &s.gGPU, s.cross, nil
+		IrregularityCV:   cv,
+	})
 }
 
 // RunGPUOnly is the paper's "Naive" homogeneous baseline: the whole
@@ -276,8 +242,8 @@ func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	res := &Result{}
 	svRes := graph.ShiloachVishkin(g)
 	transferIn := a.Platform.Link.Transfer(int64(4 * g.Arcs()))
-	gpuTime := a.gpuTime(g, svRes)
-	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
+	gpuTime := ccGPUTime(a.Platform.GPU, g, svRes)
+	transferOut := labelsTransfer(a.Platform.Link, g)
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn+transferOut)
 	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuTime)
 	res.Labels = svRes.Labels
@@ -285,6 +251,36 @@ func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	res.GPUTime = transferIn + gpuTime
 	res.Time = transferIn + gpuTime + transferOut
 	return res, nil
+}
+
+// ccPartitionTime charges Phase I's split of g on the CPU: one
+// memory-bound streaming pass over every vertex and arc.
+func ccPartitionTime(cpu *hetsim.Device, g *graph.Graph) time.Duration {
+	return cpu.Time(hetsim.Kernel{
+		Name:             "partition",
+		Ops:              int64(g.N) + int64(g.Arcs()),
+		Bytes:            8 * int64(g.Arcs()),
+		Launches:         1,
+		ParallelFraction: 0.9,
+	})
+}
+
+// ccMergeTime charges unifying the partial labelings over crossEdges
+// cross edges on dev: a find plus a union per edge.
+func ccMergeTime(dev *hetsim.Device, crossEdges int) time.Duration {
+	return dev.Time(hetsim.Kernel{
+		Name:             "merge",
+		Ops:              12 * int64(crossEdges),
+		Bytes:            8 * int64(crossEdges),
+		Launches:         1,
+		ParallelFraction: 1,   // lock-free parallel union-find
+		IrregularityCV:   1.0, // pointer chasing
+	})
+}
+
+// labelsTransfer is shipping g's final labels back to the host.
+func labelsTransfer(link *hetsim.Link, g *graph.Graph) time.Duration {
+	return link.Transfer(4 * int64(g.N))
 }
 
 // DefaultSampleSize returns the paper's sample size for CC: √n.

@@ -26,12 +26,7 @@ func NewMultiAlgorithm(p *hetsim.MultiPlatform) *MultiAlgorithm {
 	return &MultiAlgorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
 }
 
-func (a *MultiAlgorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
-	}
-	return a.Platform.CPU.Spec.Cores
-}
+func (a *MultiAlgorithm) threads() int { return threads(a.CPUThreads, a.Platform.CPU) }
 
 // MultiResult is the outcome of one multi-device CC run.
 type MultiResult struct {
@@ -47,32 +42,16 @@ type MultiResult struct {
 	Trace      hetsim.Trace
 }
 
-// checkPartition validates a caller-supplied share vector against the
-// platform: it must be a valid core.Partition (non-negative shares
-// summing to 100 — malformed vectors are rejected with a structured
-// *core.PartitionError, never silently renormalized) with exactly one
-// share per device.
-func (a *MultiAlgorithm) checkPartition(p core.Partition) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if len(p) != a.Platform.Devices() {
-		return &core.PartitionError{
-			Shares: p.Clone(), Index: -1, Sum: p.Sum(),
-			Reason: fmt.Sprintf("has %d shares, platform has %d devices", len(p), a.Platform.Devices()),
-		}
-	}
-	return nil
-}
-
 // Run executes multi-device CC with the given partition: share i of p
 // is the percentage of vertices assigned to platform device i (device
-// 0 is the CPU).
+// 0 is the CPU). A malformed vector, or one without exactly one share
+// per device, is rejected with a *core.PartitionError, never silently
+// renormalized.
 func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, error) {
 	if g == nil {
 		return nil, fmt.Errorf("hetcc: nil graph")
 	}
-	if err := a.checkPartition(p); err != nil {
+	if err := p.ValidateDevices(a.Platform.Devices()); err != nil {
 		return nil, err
 	}
 	// Cut points in vertex space.
@@ -91,14 +70,7 @@ func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, er
 	res := &MultiResult{DeviceTimes: make([]time.Duration, nDev)}
 
 	// Partition pass on the CPU.
-	partKernel := hetsim.Kernel{
-		Name:             "partition",
-		Ops:              int64(g.N) + int64(g.Arcs()),
-		Bytes:            8 * int64(g.Arcs()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	}
-	partTime := a.Platform.CPU.Time(partKernel)
+	partTime := ccPartitionTime(a.Platform.CPU, g)
 	res.Trace.Add(hetsim.PhasePartition, "cpu", partTime)
 
 	// Build per-device subgraphs and the global cross-edge list.
@@ -137,16 +109,9 @@ func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, er
 		mergeDev = a.Platform.GPUs[0]
 		mergeTarget = "gpu0"
 	}
-	mergeTime := mergeDev.Time(hetsim.Kernel{
-		Name:             "merge",
-		Ops:              12 * int64(len(cross)),
-		Bytes:            8 * int64(len(cross)),
-		Launches:         1,
-		ParallelFraction: 1,
-		IrregularityCV:   1.0,
-	})
+	mergeTime := ccMergeTime(mergeDev, len(cross))
 	res.Trace.Add(hetsim.PhaseMerge, mergeTarget, mergeTime)
-	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
+	transferOut := labelsTransfer(a.Platform.Link, g)
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
 
 	res.Labels = labels
@@ -213,15 +178,7 @@ func mergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross []g
 	for v := range labels {
 		labels[v] = int32(uf.Find(int(labels[v])))
 	}
-	minOf := make(map[int32]int32)
-	for v, l := range labels {
-		if cur, ok := minOf[l]; !ok || int32(v) < cur {
-			minOf[l] = int32(v)
-		}
-	}
-	for v := range labels {
-		labels[v] = minOf[labels[v]]
-	}
+	graph.CanonicalizeMinLabelsInto(labels, make([]int32, g.N))
 	return labels
 }
 
@@ -262,30 +219,10 @@ func (w *MultiWorkload) EvaluatePartition(p core.Partition) (time.Duration, erro
 // SamplePartition implements core.SampledPartition using the same
 // contracted sampler as the two-device workload.
 func (w *MultiWorkload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.PartitionWorkload, time.Duration, error) {
-	k := w.SampleSize
-	if k <= 0 {
-		k = DefaultSampleSize(w.g.N)
-	}
-	keep := w.KeepFrac
-	if keep == 0 {
-		keep = 0.5
-	}
-	sub, ids, err := w.g.ContractedSample(r, k, keep)
+	sub, cost, err := drawSample(w.name, w.g, w.alg.Platform.CPU, r, sampleSize(w.SampleSize, w.g.N), keepFrac(w.KeepFrac), false, false)
 	if err != nil {
-		return nil, 0, fmt.Errorf("hetcc: sampling %s: %w", w.name, err)
+		return nil, 0, err
 	}
-	var scanned int64
-	for _, v := range ids {
-		scanned += int64(w.g.Degree(v))
-	}
-	cost := w.alg.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "cc-sample",
-		Ops:              scanned + int64(k),
-		Bytes:            4 * (scanned + int64(k)),
-		Launches:         1,
-		ParallelFraction: 0.5,
-		IrregularityCV:   1.0,
-	})
 	inner := &MultiWorkload{name: w.name + "-sample", g: sub, alg: w.alg}
 	return inner, cost, nil
 }

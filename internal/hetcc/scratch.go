@@ -9,7 +9,7 @@ import (
 )
 
 // runScratch is the reusable working memory of one heterogeneous CC
-// run: the split CSR structures, the cross-edge list, per-device
+// run: the split index, the cross-edge list, per-device
 // component state and the merge buffers. A parallel Identify sweep
 // evaluates the same graph at dozens of thresholds; pooling one scratch
 // per search worker makes each evaluation allocation-free after the
@@ -18,12 +18,7 @@ import (
 // A scratch serves one run at a time; the Result it produced aliases it
 // and stays valid only until its next use.
 type runScratch struct {
-	gCPU, gGPU graph.Graph
-	cpuRowPtr  []int64
-	gpuRowPtr  []int64
-	cpuAdj     []int32
-	gpuAdj     []int32
-	cross      []graph.Edge
+	cross []graph.Edge
 
 	// split[u] is the index of the first neighbor of u that is >= the
 	// partition bound — the per-row split index of the current
@@ -54,13 +49,6 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
 // adjLowerBound returns the first index in the sorted adjacency list
 // whose neighbor id is >= bound. Short lists (the common case on road
 // and mesh graphs) are scanned linearly — fewer branches and no
@@ -85,59 +73,10 @@ func adjLowerBound(adj []int32, bound int32) int {
 	return lo
 }
 
-// partitionInto splits g at vertex nCPU directly on the CSR structure
-// into s: G_CPU (vertices [0, nCPU)), G_GPU (vertices [nCPU, n),
-// renumbered from 0) and the cross-edge list (original ids,
-// u < nCPU <= v). Because adjacency lists are sorted, each row splits
-// at a single boundary — the sub-CSR rows are copied prefixes and
-// suffixes, with no edge-list materialization, no re-sort and no
-// dedup. The result is arc-for-arc identical to rebuilding the
-// subgraphs through graph.FromEdges.
-func partitionInto(g *graph.Graph, nCPU int, s *runScratch) error {
-	if nCPU < 0 || nCPU > g.N {
-		return fmt.Errorf("hetcc: split %d outside [0, %d]", nCPU, g.N)
-	}
-	nGPU := g.N - nCPU
-	s.cpuRowPtr = growInt64(s.cpuRowPtr, nCPU+1)
-	s.gpuRowPtr = growInt64(s.gpuRowPtr, nGPU+1)
-	s.cpuAdj = s.cpuAdj[:0]
-	s.gpuAdj = s.gpuAdj[:0]
-	s.cross = s.cross[:0]
-	bound := int32(nCPU)
-	s.cpuRowPtr[0] = 0
-	for u := 0; u < nCPU; u++ {
-		adj := g.Neighbors(u)
-		k := adjLowerBound(adj, bound)
-		s.cpuAdj = append(s.cpuAdj, adj[:k]...)
-		s.cpuRowPtr[u+1] = int64(len(s.cpuAdj))
-		for _, v := range adj[k:] {
-			s.cross = append(s.cross, graph.Edge{U: int32(u), V: v})
-		}
-	}
-	s.gpuRowPtr[0] = 0
-	for u := nCPU; u < g.N; u++ {
-		adj := g.Neighbors(u)
-		k := adjLowerBound(adj, bound)
-		// Bulk-copy the kept suffix, then renumber in place: one
-		// memmove plus a vectorizable subtract instead of a
-		// per-neighbor append.
-		base := len(s.gpuAdj)
-		s.gpuAdj = append(s.gpuAdj, adj[k:]...)
-		for i := base; i < len(s.gpuAdj); i++ {
-			s.gpuAdj[i] -= bound
-		}
-		s.gpuRowPtr[u-nCPU+1] = int64(len(s.gpuAdj))
-	}
-	s.gCPU = graph.Graph{N: nCPU, RowPtr: s.cpuRowPtr, Adj: s.cpuAdj}
-	s.gGPU = graph.Graph{N: nGPU, RowPtr: s.gpuRowPtr, Adj: s.gpuAdj}
-	return nil
-}
-
 // splitRowsInto computes the per-row split index of g at vertex nCPU
 // (split[u] = first position in row u with neighbor >= nCPU) together
 // with the cross-edge list and the arc counts of the implied
-// partitions. This replaces partitionInto on the evaluation hot path:
-// the sub-CSRs are never materialized — the masked kernels
+// partitions. The sub-CSRs are never materialized — the masked kernels
 // (graph.ParallelCPUPrefixInto, graph.ShiloachVishkinSuffixInto) and
 // the split-indexed cost models consume the original adjacency through
 // split, with results and charged work identical arc for arc.
@@ -250,14 +189,7 @@ func (a *Algorithm) runInto(g *graph.Graph, t float64, res *Result, s *runScratc
 		return err
 	}
 	res.CrossEdges = int64(len(s.cross))
-	partKernel := hetsim.Kernel{
-		Name:             "partition",
-		Ops:              int64(g.N) + int64(g.Arcs()),
-		Bytes:            8 * int64(g.Arcs()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	}
-	partTime := a.Platform.CPU.Time(partKernel)
+	partTime := ccPartitionTime(a.Platform.CPU, g)
 	res.Trace.Add(hetsim.PhasePartition, "cpu", partTime)
 
 	// --- Phase II: overlapped heterogeneous compute -------------------
@@ -276,17 +208,9 @@ func (a *Algorithm) runInto(g *graph.Graph, t float64, res *Result, s *runScratc
 	// --- Merge: cross edges unify the two labelings (on the GPU per
 	// the paper's line 9) -----------------------------------------------
 	labels, components := mergeLabelsInto(g, nCPU, &s.cpuRes, &s.gpuRes, s.cross, s)
-	mergeKernel := hetsim.Kernel{
-		Name:             "merge",
-		Ops:              12 * int64(len(s.cross)), // finds + union per edge
-		Bytes:            8 * int64(len(s.cross)),
-		Launches:         1,
-		ParallelFraction: 1,   // lock-free parallel union-find
-		IrregularityCV:   1.0, // pointer chasing
-	}
-	mergeTime := a.Platform.GPU.Time(mergeKernel)
+	mergeTime := ccMergeTime(a.Platform.GPU, len(s.cross))
 	res.Trace.Add(hetsim.PhaseMerge, "gpu", mergeTime)
-	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
+	transferOut := labelsTransfer(a.Platform.Link, g)
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
 
 	res.Labels = labels

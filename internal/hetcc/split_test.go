@@ -8,6 +8,7 @@ package hetcc
 // same cross edges, bit-identical degree CVs and charged durations.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -15,6 +16,48 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hetsim"
 )
+
+// materialized is the split-index run scratch next to the reference
+// it is pinned to: G_CPU and G_GPU built as real sub-CSRs.
+type materialized struct {
+	runScratch
+	gCPU, gGPU graph.Graph
+}
+
+// partitionInto splits g at vertex nCPU into s: G_CPU (vertices
+// [0, nCPU)), G_GPU (vertices [nCPU, n), renumbered from 0) and the
+// cross-edge list (original ids, u < nCPU <= v). Adjacency lists are
+// sorted, so each row splits at a single boundary; the result is
+// arc-for-arc identical to rebuilding the subgraphs through
+// graph.FromEdges.
+func partitionInto(g *graph.Graph, nCPU int, s *materialized) error {
+	if nCPU < 0 || nCPU > g.N {
+		return fmt.Errorf("hetcc: split %d outside [0, %d]", nCPU, g.N)
+	}
+	cpuRowPtr, gpuRowPtr := []int64{0}, []int64{0}
+	var cpuAdj, gpuAdj []int32
+	s.cross = s.cross[:0]
+	bound := int32(nCPU)
+	for u := 0; u < g.N; u++ {
+		adj := g.Neighbors(u)
+		k := adjLowerBound(adj, bound)
+		if u < nCPU {
+			cpuAdj = append(cpuAdj, adj[:k]...)
+			cpuRowPtr = append(cpuRowPtr, int64(len(cpuAdj)))
+			for _, v := range adj[k:] {
+				s.cross = append(s.cross, graph.Edge{U: int32(u), V: v})
+			}
+			continue
+		}
+		for _, v := range adj[k:] {
+			gpuAdj = append(gpuAdj, v-bound)
+		}
+		gpuRowPtr = append(gpuRowPtr, int64(len(gpuAdj)))
+	}
+	s.gCPU = graph.Graph{N: nCPU, RowPtr: cpuRowPtr, Adj: cpuAdj}
+	s.gGPU = graph.Graph{N: g.N - nCPU, RowPtr: gpuRowPtr, Adj: gpuAdj}
+	return nil
+}
 
 func splitTestGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
@@ -42,7 +85,8 @@ func TestSplitRowsMatchesPartition(t *testing.T) {
 	for name, g := range splitTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, nCPU := range splitTestBounds(g.N) {
-				var mat, idx runScratch
+				var mat materialized
+				var idx runScratch
 				if err := partitionInto(g, nCPU, &mat); err != nil {
 					t.Fatalf("partitionInto(%d): %v", nCPU, err)
 				}
@@ -87,11 +131,11 @@ func TestDegreeCVSplitMatchesGraph(t *testing.T) {
 	for name, g := range splitTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, nCPU := range splitTestBounds(g.N) {
-				var s runScratch
+				var s materialized
 				if err := partitionInto(g, nCPU, &s); err != nil {
 					t.Fatalf("partitionInto(%d): %v", nCPU, err)
 				}
-				if err := splitRowsInto(g, nCPU, &s); err != nil {
+				if err := splitRowsInto(g, nCPU, &s.runScratch); err != nil {
 					t.Fatalf("splitRowsInto(%d): %v", nCPU, err)
 				}
 				if got, want := degreeCVPrefix(s.split, nCPU, s.cpuArcs), s.gCPU.DegreeCV(); got != want {
@@ -113,11 +157,11 @@ func TestCostModelSplitEquivalence(t *testing.T) {
 	for name, g := range splitTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, nCPU := range splitTestBounds(g.N) {
-				var s runScratch
+				var s materialized
 				if err := partitionInto(g, nCPU, &s); err != nil {
 					t.Fatalf("partitionInto(%d): %v", nCPU, err)
 				}
-				if err := splitRowsInto(g, nCPU, &s); err != nil {
+				if err := splitRowsInto(g, nCPU, &s.runScratch); err != nil {
 					t.Fatalf("splitRowsInto(%d): %v", nCPU, err)
 				}
 				for _, c := range []int{1, 2, 4, 7} {

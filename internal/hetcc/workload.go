@@ -81,34 +81,62 @@ func (w *Workload) Evaluate(t float64) (time.Duration, error) {
 func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, time.Duration, error) {
 	_, span := obs.StartSpan(ctx, "sample.cc")
 	defer span.Finish()
-	k := w.SampleSize
-	if k <= 0 {
-		k = DefaultSampleSize(w.g.N)
-	}
+	k := sampleSize(w.SampleSize, w.g.N)
 	span.SetAttr("vertices", strconv.Itoa(w.g.N))
 	span.SetAttr("sample_vertices", strconv.Itoa(k))
-	var sub *graph.Graph
-	var ids []int
-	var err error
-	switch {
-	case w.Induced:
-		sub, ids, err = w.g.InducedSubgraph(w.g.SampleVertices(r, k))
-	case w.Importance:
-		sub, ids, err = w.g.ContractedSampleFrom(r, w.g.ImportanceSampleVertices(r, k), w.keep())
-	default:
-		sub, ids, err = w.g.ContractedSample(r, k, w.keep())
-	}
+	sub, cost, err := drawSample(w.name, w.g, w.alg.Platform.CPU, r, k, keepFrac(w.KeepFrac), w.Induced, w.Importance)
 	if err != nil {
-		err = fmt.Errorf("hetcc: sampling %s: %w", w.name, err)
 		span.RecordError(err)
 		return nil, 0, err
 	}
 	span.SetAttr("sample_edges", strconv.Itoa(sub.M()))
+	inner := &Workload{name: w.name + "-sample", g: sub, alg: w.alg}
+	return inner, cost, nil
+}
+
+// sampleSize is the configured sample size k, or the paper's √n when
+// unset.
+func sampleSize(k, n int) int {
+	if k <= 0 {
+		return DefaultSampleSize(n)
+	}
+	return k
+}
+
+// keepFrac is the configured edge-thinning fraction, or 1/2 when unset.
+func keepFrac(f float64) float64 {
+	if f == 0 {
+		return 0.5
+	}
+	return f
+}
+
+// drawSample is the CC sampler of both Workload and MultiWorkload. It
+// draws k vertices of g — the plain induced subgraph G[S] if induced,
+// the degree-biased contracted sample if importance, else the uniform
+// contracted sample thinned to keep — and charges cpu for drawing S
+// and extracting the sample: a scan of the chosen vertices' adjacency
+// lists with binary-search remapping.
+func drawSample(name string, g *graph.Graph, cpu *hetsim.Device, r *xrand.Rand, k int, keep float64, induced, importance bool) (*graph.Graph, time.Duration, error) {
+	var sub *graph.Graph
+	var ids []int
+	var err error
+	switch {
+	case induced:
+		sub, ids, err = g.InducedSubgraph(g.SampleVertices(r, k))
+	case importance:
+		sub, ids, err = g.ContractedSampleFrom(r, g.ImportanceSampleVertices(r, k), keep)
+	default:
+		sub, ids, err = g.ContractedSample(r, k, keep)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("hetcc: sampling %s: %w", name, err)
+	}
 	var scanned int64
 	for _, v := range ids {
-		scanned += int64(w.g.Degree(v))
+		scanned += int64(g.Degree(v))
 	}
-	cost := w.alg.Platform.CPU.Time(hetsim.Kernel{
+	cost := cpu.Time(hetsim.Kernel{
 		Name:             "cc-sample",
 		Ops:              scanned + int64(k),
 		Bytes:            4 * (scanned + int64(k)),
@@ -116,15 +144,7 @@ func (w *Workload) Sample(ctx context.Context, r *xrand.Rand) (core.Workload, ti
 		ParallelFraction: 0.5,
 		IrregularityCV:   1.0, // hash-probe heavy
 	})
-	inner := &Workload{name: w.name + "-sample", g: sub, alg: w.alg}
-	return inner, cost, nil
-}
-
-func (w *Workload) keep() float64 {
-	if w.KeepFrac == 0 {
-		return 0.5
-	}
-	return w.KeepFrac
+	return sub, cost, nil
 }
 
 // Extrapolate implements core.Sampled. For CC the paper observes the

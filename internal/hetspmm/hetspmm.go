@@ -59,11 +59,15 @@ func NewAlgorithm(p *hetsim.Platform) *Algorithm {
 	return &Algorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
 }
 
-func (a *Algorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
+func (a *Algorithm) threads() int { return threads(a.CPUThreads, a.Platform.CPU) }
+
+// threads is the CPU Gustavson worker count: the configured count, or
+// the device's core count when unset.
+func threads(configured int, cpu *hetsim.Device) int {
+	if configured > 0 {
+		return configured
 	}
-	return a.Platform.CPU.Spec.Cores
+	return cpu.Spec.Cores
 }
 
 // Result is the outcome of one heterogeneous SpMM run.
@@ -192,76 +196,89 @@ func (p *Profile) segmentOf(lo, hi int) segment {
 	}
 }
 
+// loadVecTime charges Phase I's load-vector computation on the
+// accelerator dev (Algorithm 2 lines 1-3: compute L_AB and locate the
+// split row there; shipping the split index back is negligible).
+func loadVecTime(dev *hetsim.Device, a *sparse.CSR) time.Duration {
+	nnzA := int64(a.NNZ())
+	return dev.Time(hetsim.Kernel{
+		Name:             "spmm-loadvec",
+		Ops:              nnzA + int64(a.Rows),
+		Bytes:            8 * nnzA,
+		Launches:         2,
+		ParallelFraction: 1,
+	})
+}
+
+// cpuSegTime charges Phase II's CPU side: Gustavson over one row
+// segment with c threads. The CPU kernel hashes into a dense
+// accumulator and schedules rows dynamically, so unlike the GPU it is
+// insensitive to row-length irregularity — its CV is not charged. This
+// asymmetry is what makes the optimal split input-dependent: skewed
+// inputs push work toward the CPU.
+func cpuSegTime(cpu *hetsim.Device, c int, seg segment) time.Duration {
+	if seg.flops <= 0 && seg.nnzA <= 0 {
+		return 0
+	}
+	return cpu.Time(hetsim.Kernel{
+		Name:             "spmm-cpu",
+		Ops:              cpuOpsPerFlop * seg.flops,
+		Bytes:            cpuBytesPerFlop * seg.flops,
+		Launches:         c,
+		ParallelFraction: 0.98,
+	})
+}
+
+// gpuSegTime charges Phase II's accelerator side: row-per-warp
+// Gustavson over one row segment on dev, plus the result rows shipped
+// back over link.
+func gpuSegTime(dev *hetsim.Device, link *hetsim.Link, seg segment) time.Duration {
+	if seg.flops <= 0 && seg.nnzA <= 0 {
+		return 0
+	}
+	// Row setup (pointer loads, bin assignment) is charged per operand
+	// entry streamed, not per row: GPU kernels compact empty rows
+	// away, and entry counts — unlike row counts — shrink at the same
+	// rate as flops under submatrix sampling.
+	t := dev.Time(hetsim.Kernel{
+		Name:             "spmm-gpu",
+		Ops:              gpuOpsPerFlop*seg.flops + 8*seg.nnzA,
+		Bytes:            gpuBytesPerFlop * seg.flops,
+		Launches:         1,
+		ParallelFraction: 1,
+		IrregularityCV:   seg.cv,
+	})
+	return t + link.Transfer(resultBytesPerFlop*seg.flops)
+}
+
+// combineTime charges appending nnzOut accelerator-computed output
+// entries under the CPU rows (a streaming memory pass on the CPU).
+func combineTime(cpu *hetsim.Device, nnzOut int64) time.Duration {
+	return cpu.Time(hetsim.Kernel{
+		Name:             "spmm-combine",
+		Ops:              nnzOut,
+		Bytes:            bytesPerNNZ * nnzOut,
+		Launches:         1,
+		ParallelFraction: 0.9,
+	})
+}
+
 // timeParts computes the per-phase simulated durations of a run at
 // split percentage r. Both Run and Evaluate use it, so the profile
 // path and the real-execution path charge identical times.
 func (a *Algorithm) timeParts(p *Profile, r float64) (phase1, cpuT, gpuT, combine time.Duration, splitRow int) {
 	splitRow = p.SplitRow(r)
-	n := p.a.Rows
-	cpuSeg := p.segmentOf(0, splitRow)
-	gpuSeg := p.segmentOf(splitRow, n)
-	nnzA := int64(p.a.NNZ())
-	nnzB := int64(p.b.NNZ())
-
-	// Phase I: ship A and B to the GPU (unless already resident),
-	// compute the load vector and locate the split row there
-	// (Algorithm 2 lines 1-3), ship the split index back
-	// (negligible).
+	gpuSeg := p.segmentOf(splitRow, p.a.Rows)
+	// Phase I: ship A and B to the GPU (unless already resident) and
+	// compute the load vector there.
 	if !p.Resident {
-		phase1 = a.Platform.Link.Transfer(bytesPerNNZ * (nnzA + nnzB))
+		phase1 = a.Platform.Link.Transfer(bytesPerNNZ * int64(p.a.NNZ()+p.b.NNZ()))
 	}
-	phase1 += a.Platform.GPU.Time(hetsim.Kernel{
-		Name:             "spmm-loadvec",
-		Ops:              nnzA + int64(n),
-		Bytes:            8 * nnzA,
-		Launches:         2,
-		ParallelFraction: 1,
-	})
-
-	// Phase II, CPU side: Gustavson over rows [0, splitRow). The CPU
-	// kernel hashes into a dense accumulator and schedules rows
-	// dynamically, so unlike the GPU it is insensitive to row-length
-	// irregularity — its CV is not charged. This asymmetry is what
-	// makes the optimal split input-dependent: skewed inputs push
-	// work toward the CPU.
-	if cpuSeg.flops > 0 || cpuSeg.nnzA > 0 {
-		cpuT = a.Platform.CPU.Time(hetsim.Kernel{
-			Name:             "spmm-cpu",
-			Ops:              cpuOpsPerFlop * cpuSeg.flops,
-			Bytes:            cpuBytesPerFlop * cpuSeg.flops,
-			Launches:         a.threads(),
-			ParallelFraction: 0.98,
-		})
-	}
-
-	// Phase II, GPU side: row-per-warp Gustavson over the suffix,
-	// plus the result rows shipped back.
-	if gpuSeg.flops > 0 || gpuSeg.nnzA > 0 {
-		// Row setup (pointer loads, bin assignment) is charged per
-		// operand entry streamed, not per row: GPU kernels compact
-		// empty rows away, and entry counts — unlike row counts —
-		// shrink at the same rate as flops under submatrix sampling.
-		gpuT = a.Platform.GPU.Time(hetsim.Kernel{
-			Name:             "spmm-gpu",
-			Ops:              gpuOpsPerFlop*gpuSeg.flops + 8*gpuSeg.nnzA,
-			Bytes:            gpuBytesPerFlop * gpuSeg.flops,
-			Launches:         1,
-			ParallelFraction: 1,
-			IrregularityCV:   gpuSeg.cv,
-		})
-		gpuT += a.Platform.Link.Transfer(resultBytesPerFlop * gpuSeg.flops)
-	}
-
-	// Combine: append the GPU rows under the CPU rows (a streaming
-	// memory pass on the CPU).
-	combine = a.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-combine",
-		Ops:              gpuSeg.nnzOut,
-		Bytes:            bytesPerNNZ * gpuSeg.nnzOut,
-		Launches:         1,
-		ParallelFraction: 0.9,
-	})
-	return phase1, cpuT, gpuT, combine, splitRow
+	phase1 += loadVecTime(a.Platform.GPU, p.a)
+	// Phase II: rows [0, splitRow) on the CPU, the suffix on the GPU.
+	cpuT = cpuSegTime(a.Platform.CPU, a.threads(), p.segmentOf(0, splitRow))
+	gpuT = gpuSegTime(a.Platform.GPU, a.Platform.Link, gpuSeg)
+	return phase1, cpuT, gpuT, combineTime(a.Platform.CPU, gpuSeg.nnzOut), splitRow
 }
 
 // SimTime returns the simulated wall-clock duration of a run at split

@@ -3,7 +3,6 @@ package hetspmm
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -36,12 +35,7 @@ func NewMultiAlgorithm(p *hetsim.MultiPlatform) *MultiAlgorithm {
 	return &MultiAlgorithm{Platform: p, CPUThreads: p.CPU.Spec.Cores}
 }
 
-func (a *MultiAlgorithm) threads() int {
-	if a.CPUThreads > 0 {
-		return a.CPUThreads
-	}
-	return a.Platform.CPU.Spec.Cores
-}
+func (a *MultiAlgorithm) threads() int { return threads(a.CPUThreads, a.Platform.CPU) }
 
 // cuts locates the row boundaries of a share vector: device i gets
 // rows [dst[i], dst[i+1]), with the boundary at the row whose prefix
@@ -64,39 +58,6 @@ func (prof *Profile) cuts(p core.Partition, dst []int) {
 	}
 }
 
-// cpuSegTime charges the CPU Gustavson kernel for one row segment
-// (same constants as the scalar Phase II CPU side).
-func (a *MultiAlgorithm) cpuSegTime(seg segment) time.Duration {
-	if seg.flops <= 0 && seg.nnzA <= 0 {
-		return 0
-	}
-	return a.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-cpu",
-		Ops:              cpuOpsPerFlop * seg.flops,
-		Bytes:            cpuBytesPerFlop * seg.flops,
-		Launches:         a.threads(),
-		ParallelFraction: 0.98,
-	})
-}
-
-// gpuSegTime charges one accelerator's row-per-warp kernel plus its
-// result return for one row segment (same constants as the scalar
-// Phase II GPU side).
-func (a *MultiAlgorithm) gpuSegTime(dev *hetsim.Device, seg segment) time.Duration {
-	if seg.flops <= 0 && seg.nnzA <= 0 {
-		return 0
-	}
-	t := dev.Time(hetsim.Kernel{
-		Name:             "spmm-gpu",
-		Ops:              gpuOpsPerFlop*seg.flops + 8*seg.nnzA,
-		Bytes:            gpuBytesPerFlop * seg.flops,
-		Launches:         1,
-		ParallelFraction: 1,
-		IrregularityCV:   seg.cv,
-	})
-	return t + a.Platform.Link.Transfer(resultBytesPerFlop*seg.flops)
-}
-
 // SimTimeMulti returns the simulated wall-clock duration of a
 // multi-device run at the given work partition, computed from the
 // profile alone. Share i of p is device i's percentage of the total
@@ -105,15 +66,9 @@ func (a *MultiAlgorithm) gpuSegTime(dev *hetsim.Device, seg segment) time.Durati
 // renormalized. Safe for concurrent use: it only reads the profile's
 // prefix sums.
 func (a *MultiAlgorithm) SimTimeMulti(p *Profile, shares core.Partition) (time.Duration, error) {
-	if err := shares.Validate(); err != nil {
-		return 0, err
-	}
 	n := a.Platform.Devices()
-	if len(shares) != n {
-		return 0, &core.PartitionError{
-			Shares: shares.Clone(), Index: -1, Sum: shares.Sum(),
-			Reason: fmt.Sprintf("has %d shares, platform has %d devices", len(shares), n),
-		}
+	if err := shares.ValidateDevices(n); err != nil {
+		return 0, err
 	}
 	if n > MaxDevices {
 		return 0, fmt.Errorf("hetspmm: platform has %d devices, max %d", n, MaxDevices)
@@ -125,7 +80,6 @@ func (a *MultiAlgorithm) SimTimeMulti(p *Profile, shares core.Partition) (time.D
 	nnzB := int64(p.b.NNZ())
 	var (
 		phase1  time.Duration
-		wall    time.Duration
 		combine int64 // total accelerator output appended on the CPU
 	)
 	// Phase I: every accelerator with work receives B and its slice of
@@ -142,31 +96,18 @@ func (a *MultiAlgorithm) SimTimeMulti(p *Profile, shares core.Partition) (time.D
 		combine += seg.nnzOut
 	}
 	if n > 1 {
-		phase1 += a.Platform.GPUs[0].Time(hetsim.Kernel{
-			Name:             "spmm-loadvec",
-			Ops:              int64(p.a.NNZ()) + int64(p.a.Rows),
-			Bytes:            8 * int64(p.a.NNZ()),
-			Launches:         2,
-			ParallelFraction: 1,
-		})
+		phase1 += loadVecTime(a.Platform.GPUs[0], p.a)
 	}
 
 	// Phase II: all devices compute their blocks concurrently.
-	wall = a.cpuSegTime(p.segmentOf(cuts[0], cuts[1]))
+	wall := cpuSegTime(a.Platform.CPU, a.threads(), p.segmentOf(cuts[0], cuts[1]))
 	for i := 1; i < n; i++ {
-		t := a.gpuSegTime(a.Platform.GPUs[i-1], p.segmentOf(cuts[i], cuts[i+1]))
+		t := gpuSegTime(a.Platform.GPUs[i-1], a.Platform.Link, p.segmentOf(cuts[i], cuts[i+1]))
 		wall = hetsim.Overlap(wall, t)
 	}
 
 	// Combine: append all accelerator rows under the CPU rows.
-	combineT := a.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-combine",
-		Ops:              combine,
-		Bytes:            bytesPerNNZ * combine,
-		Launches:         1,
-		ParallelFraction: 0.9,
-	})
-	return phase1 + wall + combineT, nil
+	return phase1 + wall + combineTime(a.Platform.CPU, combine), nil
 }
 
 // DeviceTimesMulti returns each device's Phase II duration for
@@ -176,9 +117,9 @@ func (a *MultiAlgorithm) DeviceTimesMulti(p *Profile) []time.Duration {
 	n := a.Platform.Devices()
 	all := p.segmentOf(0, p.a.Rows)
 	times := make([]time.Duration, n)
-	times[0] = a.cpuSegTime(all)
+	times[0] = cpuSegTime(a.Platform.CPU, a.threads(), all)
 	for i := 1; i < n; i++ {
-		times[i] = a.gpuSegTime(a.Platform.GPUs[i-1], all)
+		times[i] = gpuSegTime(a.Platform.GPUs[i-1], a.Platform.Link, all)
 	}
 	return times
 }
@@ -237,21 +178,8 @@ func (w *MultiWorkload) EvaluatePartition(p core.Partition) (time.Duration, erro
 func (w *MultiWorkload) SamplePartition(ctx context.Context, r *xrand.Rand) (core.PartitionWorkload, time.Duration, error) {
 	_, span := obs.StartSpan(ctx, "sample.spmm-multi")
 	defer span.Finish()
-	k := w.SampleDivisor
-	if k <= 0 {
-		k = DefaultSampleDivisor
-	}
-	n := w.prof.a.Rows
-	size := n / k
-	if size < 1 {
-		size = 1
-	}
-	span.SetAttr("rows", strconv.Itoa(n))
-	span.SetAttr("sample_rows", strconv.Itoa(size))
-	sub, err := sparse.UniformSubmatrix(r, w.prof.a, size, size)
+	sub, cost, err := drawSample(span, w.name, w.prof, w.SampleDivisor, r, w.alg.Platform.CPU, w.alg.Platform.Link, w.alg.Platform.Devices()-1)
 	if err != nil {
-		err = fmt.Errorf("hetspmm: sampling %s: %w", w.name, err)
-		span.RecordError(err)
 		return nil, 0, err
 	}
 	inner, err := NewMultiWorkload(w.name+"-sample", sub, w.alg)
@@ -259,22 +187,6 @@ func (w *MultiWorkload) SamplePartition(ctx context.Context, r *xrand.Rand) (cor
 		return nil, 0, err
 	}
 	inner.prof.Resident = true
-	accels := int64(w.alg.Platform.Devices() - 1)
-	cost := w.alg.Platform.Link.Transfer(accels * 2 * bytesPerNNZ * int64(sub.NNZ()))
-	cost += w.alg.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-sample",
-		Ops:              int64(w.prof.a.NNZ()) + int64(n),
-		Bytes:            bytesPerNNZ * int64(w.prof.a.NNZ()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	})
-	cost += w.alg.Platform.CPU.Time(hetsim.Kernel{
-		Name:             "spmm-sample-profile",
-		Ops:              int64(sub.NNZ()) + int64(sub.Rows),
-		Bytes:            8 * int64(sub.NNZ()),
-		Launches:         1,
-		ParallelFraction: 0.9,
-	})
 	return inner, cost, nil
 }
 
