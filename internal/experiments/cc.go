@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"math"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/graph"
 	"repro/internal/hetcc"
 )
 
@@ -25,72 +22,28 @@ type Fig3Result struct {
 func Fig3(opts Options) (*Fig3Result, error) {
 	o := opts.withDefaults()
 	alg := hetcc.NewAlgorithm(o.Platform)
-	var ds []datasets.Dataset
-	for _, d := range datasets.All() {
-		if o.wants(d.Name) {
-			ds = append(ds, d)
-		}
-	}
-	rows, err := forEach(ds, func(d datasets.Dataset) (CaseRow, error) {
-		g, err := d.Graph()
-		if err != nil {
-			return CaseRow{}, err
-		}
-		w := hetcc.NewWorkload(d.Name, g, alg)
-		return ccCase(d.Name, w, alg, o)
+	rows, err := runCases(o, caseStudy[*hetcc.Workload]{
+		id:  "fig3",
+		set: datasets.All(),
+		build: func(d datasets.Dataset) (*hetcc.Workload, error) {
+			g, err := d.Graph()
+			if err != nil {
+				return nil, err
+			}
+			return hetcc.NewWorkload(d.Name, g, alg), nil
+		},
+		naive: func(w *hetcc.Workload) (time.Duration, error) {
+			gpuOnly, err := alg.RunGPUOnly(w.Graph())
+			if err != nil {
+				return 0, err
+			}
+			return gpuOnly.Time, nil
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	// NaiveAverage needs all exhaustive optima; fill it in and
-	// evaluate nothing further (its time column would coincide with a
-	// plain run at that threshold and is not plotted in the paper).
-	bests := make([]float64, len(rows))
-	for i, r := range rows {
-		bests[i] = r.Exhaustive
-	}
-	avg := core.NaiveAverage(bests)
-	for i := range rows {
-		rows[i].NaiveAverage = avg
-	}
 	return &Fig3Result{Rows: rows}, nil
-}
-
-func ccCase(name string, w *hetcc.Workload, alg *hetcc.Algorithm, o Options) (CaseRow, error) {
-	best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig3 %s exhaustive: %w", name, err)
-	}
-	est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-		Seed:        o.Seed ^ hashName(name),
-		Repeats:     o.Repeats,
-		Parallelism: o.Parallelism,
-	})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig3 %s estimate: %w", name, err)
-	}
-	estTime, err := w.Evaluate(est.Threshold)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	gpuOnly, err := alg.RunGPUOnly(w.Graph())
-	if err != nil {
-		return CaseRow{}, err
-	}
-	row := CaseRow{
-		Dataset:          name,
-		Exhaustive:       best.Best,
-		Estimated:        est.Threshold,
-		NaiveStatic:      100 * o.Platform.StaticCPUShare(),
-		ThresholdDiffPct: math.Abs(est.Threshold - best.Best),
-		ExhaustiveTime:   best.BestTime,
-		EstimatedTime:    estTime,
-		NaiveTime:        gpuOnly.Time,
-		TimeDiffPct:      100 * (float64(estTime)/float64(best.BestTime) - 1),
-		SearchCost:       best.Cost,
-	}
-	row.OverheadPct = 100 * float64(est.Overhead()) / float64(est.Overhead()+estTime)
-	return row, nil
 }
 
 // hashName mixes a dataset name into the seed so each dataset draws an
@@ -121,21 +74,23 @@ type Fig4Result struct {
 // graph and one road network.
 func Fig4(opts Options) (*Fig4Result, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"web-BerkStan", "netherlands_osm"}
-	}
 	alg := hetcc.NewAlgorithm(o.Platform)
-	series, err := forEach(names, func(name string) (SensitivitySeries, error) {
-		d, err := datasets.ByName(name)
-		if err != nil {
-			return SensitivitySeries{}, err
-		}
-		g, err := d.Graph()
-		if err != nil {
-			return SensitivitySeries{}, err
-		}
-		return ccSensitivity(name, g, alg, o)
+	series, err := runSensitivity(o, sensitivityStudy{
+		id:       "fig4",
+		defaults: []string{"web-BerkStan", "netherlands_osm"},
+		ladder:   sqrtLadder(),
+		minSize:  2,
+		load: func(d datasets.Dataset) (int, func(int) (core.Sampled, error), error) {
+			g, err := d.Graph()
+			if err != nil {
+				return 0, nil, err
+			}
+			return g.N, func(size int) (core.Sampled, error) {
+				w := hetcc.NewWorkload(d.Name, g, alg)
+				w.SampleSize = size
+				return w, nil
+			}, nil
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -154,39 +109,6 @@ var SampleSizeLadder = []struct {
 	{"sqrt(n)", 1},
 	{"2*sqrt(n)", 2},
 	{"4*sqrt(n)", 4},
-}
-
-func ccSensitivity(name string, g *graph.Graph, alg *hetcc.Algorithm, o Options) (SensitivitySeries, error) {
-	s := SensitivitySeries{Dataset: name}
-	root := math.Sqrt(float64(g.N))
-	for _, step := range SampleSizeLadder {
-		size := int(step.Factor * root)
-		if size < 2 {
-			size = 2
-		}
-		w := hetcc.NewWorkload(name, g, alg)
-		w.SampleSize = size
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Seed:        o.Seed ^ hashName(name) ^ uint64(size),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return s, fmt.Errorf("fig4 %s size %d: %w", name, size, err)
-		}
-		runTime, err := w.Evaluate(est.Threshold)
-		if err != nil {
-			return s, err
-		}
-		s.Points = append(s.Points, SensitivityPoint{
-			Label:          step.Label,
-			SampleSize:     size,
-			EstimationTime: est.Overhead(),
-			TotalTime:      est.Overhead() + runTime,
-			Threshold:      est.Threshold,
-		})
-	}
-	return s, nil
 }
 
 // Render writes the figure as text.

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/hetscale"
-	"repro/internal/sparse"
 )
 
 // scaleFreeSearcher is the paper's Identify strategy for HH-CPU
@@ -28,81 +25,32 @@ type Fig8Result struct {
 func Fig8(opts Options) (*Fig8Result, error) {
 	o := opts.withDefaults()
 	alg := hetscale.NewAlgorithm(o.Platform)
-	var ds []datasets.Dataset
-	for _, d := range datasets.ScaleFreeSet() {
-		if o.wants(d.Name) {
-			ds = append(ds, d)
-		}
-	}
-	rows, err := forEach(ds, func(d datasets.Dataset) (CaseRow, error) {
-		m, err := d.Matrix()
-		if err != nil {
-			return CaseRow{}, err
-		}
-		w, err := hetscale.NewWorkload(d.Name, m, alg)
-		if err != nil {
-			return CaseRow{}, err
-		}
-		return scaleFreeCase(d.Name, w, o)
+	rows, err := runCases(o, caseStudy[*hetscale.Workload]{
+		id:  "fig8",
+		set: datasets.ScaleFreeSet(),
+		build: func(d datasets.Dataset) (*hetscale.Workload, error) {
+			m, err := d.Matrix()
+			if err != nil {
+				return nil, err
+			}
+			return hetscale.NewWorkload(d.Name, m, alg)
+		},
+		searcher: scaleFreeSearcher(),
+		// NaiveStatic for a density threshold: the density quantile
+		// that sends the FLOPS-ratio share of the work to the CPU.
+		naiveStatic: func(w *hetscale.Workload) float64 { return staticDensityThreshold(w, o) },
+		diffPct: func(w *hetscale.Workload, est, best float64) float64 {
+			_, hi := w.ThresholdRange()
+			if hi <= 0 {
+				return 0
+			}
+			return 100 * math.Abs(est-best) / hi
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	bests := make([]float64, len(rows))
-	for i, r := range rows {
-		bests[i] = r.Exhaustive
-	}
-	avg := core.NaiveAverage(bests)
-	for i := range rows {
-		rows[i].NaiveAverage = avg
-	}
 	return &Fig8Result{Rows: rows}, nil
-}
-
-func scaleFreeCase(name string, w *hetscale.Workload, o Options) (CaseRow, error) {
-	best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig8 %s exhaustive: %w", name, err)
-	}
-	est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-		Searcher:    scaleFreeSearcher(),
-		Seed:        o.Seed ^ hashName(name),
-		Repeats:     o.Repeats,
-		Parallelism: o.Parallelism,
-	})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig8 %s estimate: %w", name, err)
-	}
-	estTime, err := w.Evaluate(est.Threshold)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	gpuOnly, err := w.Evaluate(0) // t=0: every row is "dense"? no — t=0 sends all rows with nnz>0 to the CPU
-	if err != nil {
-		return CaseRow{}, err
-	}
-	_, hi := w.ThresholdRange()
-	diffPct := 0.0
-	if hi > 0 {
-		diffPct = 100 * math.Abs(est.Threshold-best.Best) / hi
-	}
-	// NaiveStatic for a density threshold: the density quantile that
-	// sends the FLOPS-ratio share of the work to the CPU.
-	static := staticDensityThreshold(w, o)
-	row := CaseRow{
-		Dataset:          name,
-		Exhaustive:       best.Best,
-		Estimated:        est.Threshold,
-		NaiveStatic:      static,
-		ThresholdDiffPct: diffPct,
-		ExhaustiveTime:   best.BestTime,
-		EstimatedTime:    estTime,
-		NaiveTime:        gpuOnly,
-		TimeDiffPct:      100 * (float64(estTime)/float64(best.BestTime) - 1),
-		SearchCost:       best.Cost,
-	}
-	row.OverheadPct = 100 * float64(est.Overhead()) / float64(est.Overhead()+estTime)
-	return row, nil
 }
 
 // staticDensityThreshold finds the density threshold assigning the
@@ -145,63 +93,32 @@ type Fig9Result struct {
 // √n/4 … 4√n, total time near-concave with the minimum around √n.
 func Fig9(opts Options) (*Fig9Result, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"web-BerkStan", "cant"}
-	}
 	alg := hetscale.NewAlgorithm(o.Platform)
-	series, err := forEach(names, func(name string) (SensitivitySeries, error) {
-		d, err := datasets.ByName(name)
-		if err != nil {
-			return SensitivitySeries{}, err
-		}
-		m, err := d.Matrix()
-		if err != nil {
-			return SensitivitySeries{}, err
-		}
-		return scaleFreeSensitivity(name, m, alg, o)
+	series, err := runSensitivity(o, sensitivityStudy{
+		id:       "fig9",
+		defaults: []string{"web-BerkStan", "cant"},
+		ladder:   sqrtLadder(),
+		minSize:  2,
+		load: func(d datasets.Dataset) (int, func(int) (core.Sampled, error), error) {
+			m, err := d.Matrix()
+			if err != nil {
+				return 0, nil, err
+			}
+			return m.Rows, func(size int) (core.Sampled, error) {
+				w, err := hetscale.NewWorkload(d.Name, m, alg)
+				if err != nil {
+					return nil, err
+				}
+				w.SampleRows = size
+				return w, nil
+			}, nil
+		},
+		searcher: scaleFreeSearcher(),
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Fig9Result{Series: series}, nil
-}
-
-func scaleFreeSensitivity(name string, m *sparse.CSR, alg *hetscale.Algorithm, o Options) (SensitivitySeries, error) {
-	s := SensitivitySeries{Dataset: name}
-	root := math.Sqrt(float64(m.Rows))
-	for _, step := range SampleSizeLadder {
-		size := int(step.Factor * root)
-		if size < 2 {
-			size = 2
-		}
-		w, err := hetscale.NewWorkload(name, m, alg)
-		if err != nil {
-			return s, err
-		}
-		w.SampleRows = size
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Searcher:    scaleFreeSearcher(),
-			Seed:        o.Seed ^ hashName(name) ^ uint64(size),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return s, fmt.Errorf("fig9 %s size %d: %w", name, size, err)
-		}
-		runTime, err := w.Evaluate(est.Threshold)
-		if err != nil {
-			return s, err
-		}
-		s.Points = append(s.Points, SensitivityPoint{
-			Label:          step.Label,
-			SampleSize:     size,
-			EstimationTime: est.Overhead(),
-			TotalTime:      est.Overhead() + runTime,
-			Threshold:      est.Threshold,
-		})
-	}
-	return s, nil
 }
 
 // Render writes the figure as text.

@@ -28,73 +28,22 @@ type Fig5Result struct {
 func Fig5(opts Options) (*Fig5Result, error) {
 	o := opts.withDefaults()
 	alg := hetspmm.NewAlgorithm(o.Platform)
-	var ds []datasets.Dataset
-	for _, d := range datasets.All() {
-		if o.wants(d.Name) {
-			ds = append(ds, d)
-		}
-	}
-	rows, err := forEach(ds, func(d datasets.Dataset) (CaseRow, error) {
-		m, err := d.Matrix()
-		if err != nil {
-			return CaseRow{}, err
-		}
-		w, err := hetspmm.NewWorkload(d.Name, m, alg)
-		if err != nil {
-			return CaseRow{}, err
-		}
-		return spmmCase(d.Name, w, o)
+	rows, err := runCases(o, caseStudy[*hetspmm.Workload]{
+		id:  "fig5",
+		set: datasets.All(),
+		build: func(d datasets.Dataset) (*hetspmm.Workload, error) {
+			m, err := d.Matrix()
+			if err != nil {
+				return nil, err
+			}
+			return hetspmm.NewWorkload(d.Name, m, alg)
+		},
+		searcher: spmmSearcher(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	bests := make([]float64, len(rows))
-	for i, r := range rows {
-		bests[i] = r.Exhaustive
-	}
-	avg := core.NaiveAverage(bests)
-	for i := range rows {
-		rows[i].NaiveAverage = avg
-	}
 	return &Fig5Result{Rows: rows}, nil
-}
-
-func spmmCase(name string, w *hetspmm.Workload, o Options) (CaseRow, error) {
-	best, err := core.ExhaustiveBest(context.Background(), w, core.Config{Parallelism: o.Parallelism})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig5 %s exhaustive: %w", name, err)
-	}
-	est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-		Searcher:    spmmSearcher(),
-		Seed:        o.Seed ^ hashName(name),
-		Repeats:     o.Repeats,
-		Parallelism: o.Parallelism,
-	})
-	if err != nil {
-		return CaseRow{}, fmt.Errorf("fig5 %s estimate: %w", name, err)
-	}
-	estTime, err := w.Evaluate(est.Threshold)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	gpuOnly, err := w.Evaluate(0)
-	if err != nil {
-		return CaseRow{}, err
-	}
-	row := CaseRow{
-		Dataset:          name,
-		Exhaustive:       best.Best,
-		Estimated:        est.Threshold,
-		NaiveStatic:      100 * o.Platform.StaticCPUShare(),
-		ThresholdDiffPct: math.Abs(est.Threshold - best.Best),
-		ExhaustiveTime:   best.BestTime,
-		EstimatedTime:    estTime,
-		NaiveTime:        gpuOnly,
-		TimeDiffPct:      100 * (float64(estTime)/float64(best.BestTime) - 1),
-		SearchCost:       best.Cost,
-	}
-	row.OverheadPct = 100 * float64(est.Overhead()) / float64(est.Overhead()+estTime)
-	return row, nil
 }
 
 // Render writes the figure as text.
@@ -112,77 +61,40 @@ type Fig6Result struct {
 // workable minimum around n/4 (the paper's chosen K).
 func Fig6(opts Options) (*Fig6Result, error) {
 	o := opts.withDefaults()
-	names := o.Names
-	if len(names) == 0 {
-		names = []string{"cant", "web-BerkStan"}
-	}
 	alg := hetspmm.NewAlgorithm(o.Platform)
-	series, err := forEach(names, func(name string) (SensitivitySeries, error) {
-		d, err := datasets.ByName(name)
-		if err != nil {
-			return SensitivitySeries{}, err
-		}
-		m, err := d.Matrix()
-		if err != nil {
-			return SensitivitySeries{}, err
-		}
-		return spmmSensitivity(name, m, alg, o)
+	series, err := runSensitivity(o, sensitivityStudy{
+		id:       "fig6",
+		defaults: []string{"cant", "web-BerkStan"},
+		// The paper's Fig. 6 ladder: sample dimensions n/10 … 4n/10.
+		ladder: []sizeStep{
+			{"n/10", func(n int) int { return n / 10 }},
+			{"n/5", func(n int) int { return n / 5 }},
+			{"n/4", func(n int) int { return n / 4 }},
+			{"3n/10", func(n int) int { return 3 * n / 10 }},
+			{"4n/10", func(n int) int { return 4 * n / 10 }},
+		},
+		minSize: 1,
+		load: func(d datasets.Dataset) (int, func(int) (core.Sampled, error), error) {
+			m, err := d.Matrix()
+			if err != nil {
+				return 0, nil, err
+			}
+			return m.Rows, func(size int) (core.Sampled, error) {
+				w, err := hetspmm.NewWorkload(d.Name, m, alg)
+				if err != nil {
+					return nil, err
+				}
+				// Express the sample size through the divisor interface.
+				w.SampleDivisor = max(m.Rows/size, 1)
+				return w, nil
+			}, nil
+		},
+		searcher: spmmSearcher(),
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Fig6Result{Series: series}, nil
-}
-
-func spmmSensitivity(name string, m *sparse.CSR, alg *hetspmm.Algorithm, o Options) (SensitivitySeries, error) {
-	s := SensitivitySeries{Dataset: name}
-	// The paper's Fig. 6 ladder: sample dimensions n/10 … 4n/10.
-	ladder := []struct {
-		label string
-		size  func(n int) int
-	}{
-		{"n/10", func(n int) int { return n / 10 }},
-		{"n/5", func(n int) int { return n / 5 }},
-		{"n/4", func(n int) int { return n / 4 }},
-		{"3n/10", func(n int) int { return 3 * n / 10 }},
-		{"4n/10", func(n int) int { return 4 * n / 10 }},
-	}
-	for _, step := range ladder {
-		size := step.size(m.Rows)
-		if size < 1 {
-			size = 1
-		}
-		w, err := hetspmm.NewWorkload(name, m, alg)
-		if err != nil {
-			return s, err
-		}
-		// Express the sample size through the divisor interface.
-		w.SampleDivisor = m.Rows / size
-		if w.SampleDivisor < 1 {
-			w.SampleDivisor = 1
-		}
-		est, err := core.EstimateThreshold(context.Background(), w, core.Config{
-			Searcher:    spmmSearcher(),
-			Seed:        o.Seed ^ hashName(name) ^ uint64(size),
-			Repeats:     o.Repeats,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return s, fmt.Errorf("fig6 %s size %d: %w", name, size, err)
-		}
-		runTime, err := w.Evaluate(est.Threshold)
-		if err != nil {
-			return s, err
-		}
-		s.Points = append(s.Points, SensitivityPoint{
-			Label:          step.label,
-			SampleSize:     size,
-			EstimationTime: est.Overhead(),
-			TotalTime:      est.Overhead() + runTime,
-			Threshold:      est.Threshold,
-		})
-	}
-	return s, nil
 }
 
 // Render writes the figure as text.
