@@ -67,12 +67,23 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 // if the stream holds more than maxBytes bytes. maxBytes <= 0 means no
 // limit. This is the entry point for untrusted uploads (the hetserve
 // daemon), where an unbounded Read would let one request exhaust
-// memory.
+// memory. For the same reason it rejects a matrix that declares more
+// rows or columns than the stream has bytes: every O(rows + cols)
+// structure built from the result (CSR row pointers, per-row work
+// vectors) then stays within a constant factor of the upload size.
 func ReadLimited(r io.Reader, maxBytes int64) (*COO, error) {
 	if maxBytes <= 0 {
-		return Read(r)
+		maxBytes = math.MaxInt64
 	}
-	return Read(&limitedReader{r: r, max: maxBytes})
+	lr := &limitedReader{r: r, max: maxBytes}
+	c, err := Read(lr)
+	if err != nil {
+		return nil, err
+	}
+	if read := maxBytes - lr.max; int64(c.Rows) > read || int64(c.Cols) > read {
+		return nil, fmt.Errorf("mmio: %dx%d matrix declared in a %d-byte input", c.Rows, c.Cols, read)
+	}
+	return c, nil
 }
 
 // Field describes the value type of a Matrix Market file.

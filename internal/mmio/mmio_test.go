@@ -283,6 +283,32 @@ func TestSizeLineDoesNotSizeAllocation(t *testing.T) {
 	}
 }
 
+// TestDimensionsBoundedByInput: a 77-byte upload declaring a
+// 2·10⁹ × 2·10⁹ matrix with one entry parses as a COO, but every
+// O(rows) structure built from it (CSR row pointers and their copies)
+// would cost tens of GB. ReadLimited must reject it, cheaply, whether
+// or not a byte limit is set.
+func TestDimensionsBoundedByInput(t *testing.T) {
+	in := "%%MatrixMarket matrix coordinate pattern general\n2000000000 2000000000 1\n1 1\n"
+	for _, limit := range []int64{64 << 20, 0} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadLimited(strings.NewReader(in), limit)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "declared in a") {
+			t.Fatalf("limit %d: err = %v, want a dimension error", limit, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("limit %d: allocated %d bytes for a %d-byte input, want < 1 MiB", limit, got, len(in))
+		}
+	}
+	// A matrix with as many rows and columns as it has bytes is fine.
+	ok := "%%MatrixMarket matrix coordinate pattern general\n60 60 1\n1 1\n"
+	if _, err := ReadLimited(strings.NewReader(ok), 64<<20); err != nil {
+		t.Fatalf("%d-byte 60x60 matrix rejected: %v", len(ok), err)
+	}
+}
+
 // TestRejectsDimensionsAboveInt32: indices are stored as int32, so a
 // larger declared dimension would wrap to negative indices.
 func TestRejectsDimensionsAboveInt32(t *testing.T) {
