@@ -250,22 +250,7 @@ func ParallelCPUPrefixInto(rowPtr []int64, adj []int32, split []int32, n, worker
 			}
 		}
 	}
-	// Resolve and canonicalize in one ascending pass: the first vertex
-	// to reach a union-find root is its component's minimum id.
-	minOf := s.minOfFor(n)
-	for i := range minOf {
-		minOf[i] = -1
-	}
-	components := 0
-	for v := range labels {
-		r := s.uf.Find(int(labels[v]))
-		if minOf[r] < 0 {
-			minOf[r] = int32(v)
-			components++
-		}
-		labels[v] = minOf[r]
-	}
-	res.Components = components
+	res.Components = s.uf.ResolveMinLabelsInto(labels, s.minOfFor(n))
 	return crossArcs
 }
 
@@ -397,10 +382,7 @@ func ParallelCPUInto(g *Graph, workers int, res *CCResult, s *CCScratch) {
 			}
 		}
 	}
-	for v := range labels {
-		labels[v] = int32(s.uf.Find(int(labels[v])))
-	}
-	res.Components = CanonicalizeMinLabelsCountInto(labels, s.minOfFor(g.N))
+	res.Components = s.uf.ResolveMinLabelsInto(labels, s.minOfFor(g.N))
 }
 
 // ShiloachVishkinInto computes connected components with the classic
@@ -601,9 +583,8 @@ func shiloachVishkinRun(n int, res *CCResult, s *CCScratch) {
 // CanonicalizeMinLabelsInto rewrites labels so each component is
 // labeled by its minimum vertex id, using minOf (len(labels) entries)
 // as scratch. One ascending pass suffices: the first vertex to visit a
-// representative is the component's minimum. Exported for the
-// heterogeneous runners' merge phases, which canonicalize after their
-// own union–find pass.
+// representative is the component's minimum. The frozen reference
+// kernels finish with it.
 func CanonicalizeMinLabelsInto(labels, minOf []int32) {
 	CanonicalizeMinLabelsCountInto(labels, minOf)
 }
@@ -612,7 +593,7 @@ func CanonicalizeMinLabelsInto(labels, minOf []int32) {
 // returning the component count as a byproduct: each first visit of a
 // representative is exactly one component, so the count equals
 // NumComponents of the canonicalized labels without the extra O(n)
-// pass. The tuned kernels and the heterogeneous merge use this form.
+// pass. The tuned Shiloach–Vishkin finishes with it.
 func CanonicalizeMinLabelsCountInto(labels, minOf []int32) int {
 	for i := range minOf {
 		minOf[i] = -1
@@ -624,6 +605,29 @@ func CanonicalizeMinLabelsCountInto(labels, minOf []int32) int {
 			components++
 		}
 		labels[v] = minOf[l]
+	}
+	return components
+}
+
+// ResolveMinLabelsInto replaces each label by its union–find root and
+// canonicalizes to minimum vertex ids in one ascending pass (the first
+// vertex to reach a root is its component's minimum), using minOf
+// (len(labels) entries) as scratch. The labels equal a find pass
+// followed by CanonicalizeMinLabelsCountInto, whose component count it
+// returns. The parallel CPU kernels and the heterogeneous merges finish
+// with it.
+func (uf *UnionFind) ResolveMinLabelsInto(labels, minOf []int32) int {
+	for i := range minOf {
+		minOf[i] = -1
+	}
+	components := 0
+	for v := range labels {
+		r := uf.Find(int(labels[v]))
+		if minOf[r] < 0 {
+			minOf[r] = int32(v)
+			components++
+		}
+		labels[v] = minOf[r]
 	}
 	return components
 }

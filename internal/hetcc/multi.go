@@ -102,7 +102,7 @@ func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, er
 
 	// Merge all partial labelings over the cross edges (on the first
 	// accelerator, per Algorithm 1 line 9).
-	labels := mergeMulti(g, cuts, results, cross)
+	labels, components := mergeMulti(g, cuts, results, cross)
 	mergeDev := a.Platform.CPU
 	mergeTarget := "cpu"
 	if len(a.Platform.GPUs) > 0 {
@@ -115,7 +115,7 @@ func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, er
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
 
 	res.Labels = labels
-	res.Components = graph.NumComponents(labels)
+	res.Components = components
 	res.Time = partTime + wall + mergeTime + transferOut
 	return res, nil
 }
@@ -162,8 +162,9 @@ func partitionMulti(g *graph.Graph, cuts []int) ([]*graph.Graph, []graph.Edge, e
 	return parts, cross, nil
 }
 
-// mergeMulti combines the per-part labelings into a global one.
-func mergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross []graph.Edge) []int32 {
+// mergeMulti combines the per-part labelings into a global one over the
+// cross edges and returns it with its component count.
+func mergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross []graph.Edge) ([]int32, int) {
 	labels := make([]int32, g.N)
 	for i, r := range results {
 		base := int32(cuts[i])
@@ -175,11 +176,7 @@ func mergeMulti(g *graph.Graph, cuts []int, results []*graph.CCResult, cross []g
 	for _, e := range cross {
 		uf.Union(int(labels[e.U]), int(labels[e.V]))
 	}
-	for v := range labels {
-		labels[v] = int32(uf.Find(int(labels[v])))
-	}
-	graph.CanonicalizeMinLabelsInto(labels, make([]int32, g.N))
-	return labels
+	return labels, uf.ResolveMinLabelsInto(labels, make([]int32, g.N))
 }
 
 // MultiWorkload adapts multi-device CC to the partition framework

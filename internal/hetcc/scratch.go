@@ -138,25 +138,8 @@ func mergeLabelsInto(g *graph.Graph, nCPU int, cpuRes, gpuRes *graph.CCResult, c
 	for _, e := range cross {
 		s.uf.Union(int(labels[e.U]), int(labels[e.V]))
 	}
-	// Resolve and canonicalize in one ascending pass (the first vertex
-	// to reach a union-find root is its component's minimum id) —
-	// identical labels to a find pass followed by
-	// graph.CanonicalizeMinLabelsCountInto.
 	s.minOf = growInt32(s.minOf, g.N)
-	minOf := s.minOf
-	for i := range minOf {
-		minOf[i] = -1
-	}
-	components := 0
-	for v := range labels {
-		r := s.uf.Find(int(labels[v]))
-		if minOf[r] < 0 {
-			minOf[r] = int32(v)
-			components++
-		}
-		labels[v] = minOf[r]
-	}
-	return labels, components
+	return labels, s.uf.ResolveMinLabelsInto(labels, s.minOf)
 }
 
 // runInto executes Algorithm 1 drawing every buffer from s; res is
