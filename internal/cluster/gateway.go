@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -423,12 +424,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// The routing key is the same input identity hetserve keys its LRU
 	// by, so a given input always lands on the replica whose cache
 	// already holds it.
-	var key string
-	if body != nil {
-		key = "upload:" + serve.Fingerprint(body)
-	} else {
-		key = "dataset:" + r.URL.Query().Get("dataset")
-	}
+	key := batch.Item{Dataset: r.URL.Query().Get("dataset"), Body: body}.Key()
 	// Partition-vector requests (?devices=N) join the routing key: the
 	// backend builds and caches a different workload per device count,
 	// so pinning each (input, devices) pair to its own replica chain

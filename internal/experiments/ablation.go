@@ -60,36 +60,25 @@ func AblationSampler(opts Options) (*AblationSamplerResult, error) {
 			return AblationSamplerRow{}, err
 		}
 		row := AblationSamplerRow{Dataset: name, Exhaustive: best.Best, ExhaustiveTime: best.BestTime}
-
-		contracted := hetcc.NewWorkload(name, g, alg)
-		est, err := core.EstimateThreshold(context.Background(), contracted, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
-		if err != nil {
+		// estimate samples with the given sampler and times the full
+		// input at the resulting threshold.
+		estimate := func(induced, importance bool) (float64, time.Duration, error) {
+			sw := hetcc.NewWorkload(name, g, alg)
+			sw.Induced, sw.Importance = induced, importance
+			est, err := core.EstimateThreshold(context.Background(), sw, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
+			if err != nil {
+				return 0, 0, err
+			}
+			t, err := w.Evaluate(est.Threshold)
+			return est.Threshold, t, err
+		}
+		if row.Contracted, row.ContractedTime, err = estimate(false, false); err != nil {
 			return AblationSamplerRow{}, err
 		}
-		row.Contracted = est.Threshold
-		if row.ContractedTime, err = w.Evaluate(est.Threshold); err != nil {
+		if row.Induced, row.InducedTime, err = estimate(true, false); err != nil {
 			return AblationSamplerRow{}, err
 		}
-
-		induced := hetcc.NewWorkload(name, g, alg)
-		induced.Induced = true
-		est, err = core.EstimateThreshold(context.Background(), induced, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
-		if err != nil {
-			return AblationSamplerRow{}, err
-		}
-		row.Induced = est.Threshold
-		if row.InducedTime, err = w.Evaluate(est.Threshold); err != nil {
-			return AblationSamplerRow{}, err
-		}
-
-		importance := hetcc.NewWorkload(name, g, alg)
-		importance.Importance = true
-		est, err = core.EstimateThreshold(context.Background(), importance, core.Config{Seed: o.Seed ^ hashName(name), Repeats: o.Repeats, Parallelism: o.Parallelism})
-		if err != nil {
-			return AblationSamplerRow{}, err
-		}
-		row.Importance = est.Threshold
-		if row.ImportanceTime, err = w.Evaluate(est.Threshold); err != nil {
+		if row.Importance, row.ImportanceTime, err = estimate(false, true); err != nil {
 			return AblationSamplerRow{}, err
 		}
 		return row, nil

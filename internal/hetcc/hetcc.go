@@ -243,7 +243,7 @@ func (a *Algorithm) RunGPUOnly(g *graph.Graph) (*Result, error) {
 	svRes := graph.ShiloachVishkin(g)
 	transferIn := a.Platform.Link.Transfer(int64(4 * g.Arcs()))
 	gpuTime := ccGPUTime(a.Platform.GPU, g, svRes)
-	transferOut := labelsTransfer(a.Platform.Link, g)
+	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferIn+transferOut)
 	res.Trace.Add(hetsim.PhaseCompute, "gpu", gpuTime)
 	res.Labels = svRes.Labels
@@ -276,11 +276,6 @@ func ccMergeTime(dev *hetsim.Device, crossEdges int) time.Duration {
 		ParallelFraction: 1,   // lock-free parallel union-find
 		IrregularityCV:   1.0, // pointer chasing
 	})
-}
-
-// labelsTransfer is shipping g's final labels back to the host.
-func labelsTransfer(link *hetsim.Link, g *graph.Graph) time.Duration {
-	return link.Transfer(4 * int64(g.N))
 }
 
 // DefaultSampleSize returns the paper's sample size for CC: √n.

@@ -111,7 +111,7 @@ func (a *MultiAlgorithm) Run(g *graph.Graph, p core.Partition) (*MultiResult, er
 	}
 	mergeTime := ccMergeTime(mergeDev, len(cross))
 	res.Trace.Add(hetsim.PhaseMerge, mergeTarget, mergeTime)
-	transferOut := labelsTransfer(a.Platform.Link, g)
+	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
 
 	res.Labels = labels

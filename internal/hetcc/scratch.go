@@ -193,7 +193,7 @@ func (a *Algorithm) runInto(g *graph.Graph, t float64, res *Result, s *runScratc
 	labels, components := mergeLabelsInto(g, nCPU, &s.cpuRes, &s.gpuRes, s.cross, s)
 	mergeTime := ccMergeTime(a.Platform.GPU, len(s.cross))
 	res.Trace.Add(hetsim.PhaseMerge, "gpu", mergeTime)
-	transferOut := labelsTransfer(a.Platform.Link, g)
+	transferOut := a.Platform.Link.Transfer(4 * int64(g.N))
 	res.Trace.Add(hetsim.PhaseTransfer, "link", transferOut)
 
 	res.Labels = labels
