@@ -88,7 +88,8 @@ type Summary struct {
 	// Admissions is how many pool admissions the job performed (1 for
 	// a direct hetserve job; one per sub-batch through the gateway).
 	Admissions int `json:"admissions"`
-	// Builds is how many workload constructions ran (cache misses).
+	// Builds is how many workload constructions the job's own items
+	// ran: uploads, and build-cache misses they led.
 	Builds int `json:"builds"`
 	// WallMS is the job wall-clock in milliseconds.
 	WallMS float64 `json:"wall_ms"`

@@ -17,6 +17,7 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ErrTooLarge is returned by ReadLimited when the input exceeds the
@@ -141,12 +143,13 @@ func (c *COO) NNZ() int { return len(c.RowIdx) }
 
 // Read parses a Matrix Market stream.
 func Read(r io.Reader) (*COO, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	sc := &scanner{br: bufio.NewReaderSize(r, 1<<16)}
 
-	header, err := br.ReadString('\n')
+	line, err := sc.line()
 	if err != nil {
 		return nil, fmt.Errorf("mmio: reading header: %w", err)
 	}
+	header := string(line)
 	fields := strings.Fields(strings.ToLower(header))
 	if len(fields) < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
 		return nil, fmt.Errorf("mmio: not a MatrixMarket matrix header: %q", strings.TrimSpace(header))
@@ -173,45 +176,140 @@ func Read(r io.Reader) (*COO, error) {
 		return nil, fmt.Errorf("mmio: unsupported symmetry %q", fields[4])
 	}
 
-	line, err := nextDataLine(br)
+	line, err = sc.dataLine()
 	if err != nil {
 		return nil, fmt.Errorf("mmio: reading size line: %w", err)
 	}
+	sizeLine := string(line)
 
 	switch format {
 	case "coordinate":
-		return readCoordinate(br, line, field, sym)
+		return sc.readCoordinate(sizeLine, field, sym)
 	case "array":
 		if field == Pattern {
 			return nil, fmt.Errorf("mmio: array format cannot be pattern")
 		}
-		return readArray(br, line, field, sym)
+		return sc.readArray(sizeLine, field, sym)
 	default:
 		return nil, fmt.Errorf("mmio: unsupported format %q", format)
 	}
 }
 
-// nextDataLine returns the next non-comment, non-blank line. A partial
-// final line is accepted only at io.EOF (files without a trailing
-// newline); any other error — e.g. ErrTooLarge from a limited reader —
-// must not let a truncated token parse as a shorter valid one.
-func nextDataLine(br *bufio.Reader) (string, error) {
+// scanner reads a Matrix Market stream line by line and splits data
+// lines into fields without allocating per line: lines are slices of
+// the bufio.Reader's buffer, a line longer than that buffer is
+// assembled in the reused carry buffer, and fields are subslices of
+// the line.
+type scanner struct {
+	br    *bufio.Reader
+	carry []byte
+	toks  [3][]byte // leading fields of the current data line
+}
+
+// line returns the next line with its newline, or the final partial
+// line together with the error that ended it. The slice is valid only
+// until the next call.
+func (sc *scanner) line() ([]byte, error) {
+	b, err := sc.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return b, err
+	}
+	sc.carry = append(sc.carry[:0], b...)
+	for err == bufio.ErrBufferFull {
+		b, err = sc.br.ReadSlice('\n')
+		sc.carry = append(sc.carry, b...)
+	}
+	return sc.carry, err
+}
+
+// dataLine returns the next non-comment, non-blank line, trimmed. A
+// partial final line is accepted only at io.EOF (files without a
+// trailing newline); any other error — e.g. ErrTooLarge from a limited
+// reader — must not let a truncated token parse as a shorter valid one.
+func (sc *scanner) dataLine() ([]byte, error) {
 	for {
-		line, err := br.ReadString('\n')
+		line, err := sc.line()
 		if err != nil && err != io.EOF {
-			return "", err
+			return nil, err
 		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed != "" && !strings.HasPrefix(trimmed, "%") {
+		trimmed := bytes.TrimSpace(line)
+		if len(trimmed) > 0 && trimmed[0] != '%' {
 			return trimmed, nil
 		}
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 	}
 }
 
-func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*COO, error) {
+// fields splits the first want fields of line into sc.toks and
+// returns how many it found, at most want. It splits in place on the
+// ASCII spaces strings.Fields splits on. A byte >= 0x80 met before the
+// last wanted field ends sends the whole line through bytes.Fields,
+// which splits on Unicode spaces exactly as strings.Fields does; bytes
+// after that point cannot change the fields already found.
+func (sc *scanner) fields(line []byte, want int) int {
+	n, i := 0, 0
+	for n < want {
+		for i < len(line) && byteClass[line[i]] == classSpace {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		start := i
+		for i < len(line) && byteClass[line[i]] == classField {
+			i++
+		}
+		if i < len(line) && byteClass[line[i]] == classWide {
+			return copy(sc.toks[:want], bytes.Fields(line))
+		}
+		sc.toks[n] = line[start:i]
+		n++
+	}
+	return n
+}
+
+// Byte classes for fields.
+const (
+	classField = iota
+	classSpace
+	classWide // >= 0x80: part of a multi-byte (or invalid) UTF-8 sequence
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = classSpace
+	}
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = classWide
+	}
+	return t
+}()
+
+// fastDigits is the longest run of decimal digits that cannot
+// overflow an int: 18 for 64-bit ints, 9 for 32-bit ones.
+const fastDigits = strconv.IntSize/64*9 + 9
+
+// atoi parses a decimal index. A plain run of at most fastDigits
+// digits is read here; anything else (a sign, a longer run, any other
+// byte) goes through strconv.Atoi, so it is accepted or rejected
+// exactly as strconv.Atoi decides.
+func atoi(b []byte) (int, error) {
+	if len(b) > fastDigits {
+		return strconv.Atoi(string(b))
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.Atoi(string(b))
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, nil
+}
+
+func (sc *scanner) readCoordinate(sizeLine string, field Field, sym Symmetry) (*COO, error) {
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
 		return nil, fmt.Errorf("mmio: bad size line %q: %w", sizeLine, err)
@@ -237,35 +335,34 @@ func readCoordinate(br *bufio.Reader, sizeLine string, field Field, sym Symmetry
 		c.Vals = make([]float64, 0, capHint)
 	}
 
+	wantToks := 3
+	if field == Pattern {
+		wantToks = 2
+	}
 	for k := 0; k < nnz; k++ {
-		line, err := nextDataLine(br)
+		line, err := sc.dataLine()
 		if err != nil {
 			return nil, fmt.Errorf("mmio: entry %d of %d: %w", k+1, nnz, err)
 		}
-		toks := strings.Fields(line)
-		wantToks := 3
-		if field == Pattern {
-			wantToks = 2
-		}
-		if len(toks) < wantToks {
+		if sc.fields(line, wantToks) < wantToks {
 			return nil, fmt.Errorf("mmio: entry %d: short line %q", k+1, line)
 		}
-		i, err := strconv.Atoi(toks[0])
+		i, err := atoi(sc.toks[0])
 		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad row index %q", k+1, toks[0])
+			return nil, fmt.Errorf("mmio: entry %d: bad row index %q", k+1, sc.toks[0])
 		}
-		j, err := strconv.Atoi(toks[1])
+		j, err := atoi(sc.toks[1])
 		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad col index %q", k+1, toks[1])
+			return nil, fmt.Errorf("mmio: entry %d: bad col index %q", k+1, sc.toks[1])
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("mmio: entry %d: index (%d,%d) out of %dx%d", k+1, i, j, rows, cols)
 		}
 		var v float64
 		if field != Pattern {
-			v, err = strconv.ParseFloat(toks[2], 64)
+			v, err = strconv.ParseFloat(string(sc.toks[2]), 64)
 			if err != nil {
-				return nil, fmt.Errorf("mmio: entry %d: bad value %q", k+1, toks[2])
+				return nil, fmt.Errorf("mmio: entry %d: bad value %q", k+1, sc.toks[2])
 			}
 		}
 		appendEntry(c, int32(i-1), int32(j-1), v, field)
@@ -297,7 +394,7 @@ func appendEntry(c *COO, i, j int32, v float64, field Field) {
 	}
 }
 
-func readArray(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*COO, error) {
+func (sc *scanner) readArray(sizeLine string, field Field, sym Symmetry) (*COO, error) {
 	var rows, cols int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols); err != nil {
 		return nil, fmt.Errorf("mmio: bad array size line %q: %w", sizeLine, err)
@@ -313,11 +410,12 @@ func readArray(br *bufio.Reader, sizeLine string, field Field, sym Symmetry) (*C
 			iStart = j
 		}
 		for i := iStart; i < rows; i++ {
-			line, err := nextDataLine(br)
+			line, err := sc.dataLine()
 			if err != nil {
 				return nil, fmt.Errorf("mmio: array entry (%d,%d): %w", i+1, j+1, err)
 			}
-			v, err := strconv.ParseFloat(strings.Fields(line)[0], 64)
+			sc.fields(line, 1)
+			v, err := strconv.ParseFloat(string(sc.toks[0]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("mmio: array entry (%d,%d): bad value %q", i+1, j+1, line)
 			}

@@ -139,13 +139,8 @@ func (s *Server) estimateBatch(w http.ResponseWriter, r *http.Request, start tim
 // trailer.
 func (s *Server) runBatch(jobCtx context.Context, bw *batch.Writer, items []*batchItem, start time.Time) {
 	summary := batch.Summary{Items: len(items)}
-	buildsBefore := s.metrics.buildMisses.Value()
 	emit := func(e batch.Event) { _ = bw.Emit(e) }
 	s.runItems(jobCtx, items, emit, &summary)
-	buildsAfter := s.metrics.buildMisses.Value()
-	// Builds that actually ran: build-cache misses during the job,
-	// approximate under concurrent single-request traffic.
-	summary.Builds = int(buildsAfter - buildsBefore)
 	summary.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 	emit(batch.Event{Type: batch.EventSummary, Summary: &summary})
 }
@@ -268,9 +263,15 @@ func (s *Server) runBatchItem(jobCtx context.Context, it *batchItem, itemsLeft i
 	sctx, span := obs.StartSpan(ictx, "item.estimate")
 	span.SetAttr("item", it.name)
 	span.SetAttr("input", it.req.input)
-	resp, err := s.run(sctx, it.req, modeItem, func(coarse EstimateResponse) {
+	run := &itemRun{coarse: func(coarse EstimateResponse) {
 		emit(batch.Event{Type: batch.EventCoarse, Item: it.name, Estimate: marshalEstimate(coarse)})
-	})
+	}}
+	resp, err := s.run(sctx, it.req, modeItem, run)
+	// Builds that this job's own items ran: the build-cache misses they
+	// led and their uploads.
+	if run.built {
+		sum.Builds++
+	}
 	if err != nil {
 		span.RecordError(err)
 		span.Finish()

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,6 +142,57 @@ func TestBatchOnePoolAdmissionSharedBuilds(t *testing.T) {
 	}
 	if outcomes["refined"] != 4 || outcomes["cached"] != 4 {
 		t.Errorf("outcomes = %v", outcomes)
+	}
+}
+
+// TestBatchBuildsCountOwnItems: a job's summary counts the builds of
+// its own items only. Two upload jobs running at once on one server
+// each construct every one of their items' workloads, and neither
+// count may include the other job's builds (a diff of the server-wide
+// build counter did).
+func TestBatchBuildsCountOwnItems(t *testing.T) {
+	cfg := Config{Workers: 2, CacheSize: 64, AdmissionLimit: 100000}
+	cfg.Logger = testLogger(t)
+	s := New(cfg)
+	ts := newHTTPServer(t, s)
+
+	jobs := make([][]batch.Item, 2)
+	for j, n := range []int{3, 2} {
+		for i := 0; i < n; i++ {
+			seed := uint64(10*j + i + 1)
+			jobs[j] = append(jobs[j], batch.Item{
+				Name: fmt.Sprintf("u%d", i), Workload: "spmm", Searcher: "race",
+				Repeats: 1, Body: genMTX(t, 4000, 40000, seed),
+			})
+		}
+	}
+	sums := make([]*batch.Summary, len(jobs))
+	codes := make([]int, len(jobs))
+	var wg sync.WaitGroup
+	for j, items := range jobs {
+		body, ct, err := batch.EncodeRequest(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var events []batch.Event
+			codes[j], events = postBatch(t, ts.URL, ct, "", body)
+			_, sums[j] = eventsByItem(events)
+		}()
+	}
+	wg.Wait()
+	for j, sum := range sums {
+		if codes[j] != http.StatusOK || sum == nil {
+			t.Fatalf("job %d: status %d, summary %+v", j, codes[j], sum)
+		}
+		if sum.Completed != len(jobs[j]) {
+			t.Errorf("job %d: summary = %+v, want %d completed", j, sum, len(jobs[j]))
+		}
+		if sum.Builds != len(jobs[j]) {
+			t.Errorf("job %d: summary builds = %d, want its own %d items", j, sum.Builds, len(jobs[j]))
+		}
 	}
 }
 

@@ -134,9 +134,10 @@ const (
 //     full cost for a cold one;
 //   - batch items run under their job's admission and worker slot.
 //
-// Batch items pass coarse, which receives the first usable answer
-// before any search runs.
-func (s *Server) run(ctx context.Context, req *request, mode runMode, coarse func(EstimateResponse)) (*EstimateResponse, error) {
+// Batch items pass item, whose coarse receives the first usable answer
+// before any search runs and whose built records whether this run
+// constructed the workload.
+func (s *Server) run(ctx context.Context, req *request, mode runMode, item *itemRun) (*EstimateResponse, error) {
 	storePath := s.store != nil && req.devices == 0 && mode != modeRefresh
 	if mode != modeItem {
 		if !storePath {
@@ -151,9 +152,12 @@ func (s *Server) run(ctx context.Context, req *request, mode runMode, coarse fun
 		}
 		defer s.pool.Release()
 	}
-	w, err := s.build(ctx, req)
+	w, built, err := s.build(ctx, req)
 	if err != nil {
 		return nil, err
+	}
+	if item != nil {
+		item.built = built
 	}
 	// The store's features-to-threshold transfer is scalar (storePath
 	// excludes partition requests): a partition answer is never
@@ -169,8 +173,8 @@ func (s *Server) run(ctx context.Context, req *request, mode runMode, coarse fun
 		}
 		meta = storeMeta{features: f, hasFeatures: true}
 	}
-	if coarse != nil {
-		coarse(s.coarse(req, meta))
+	if item != nil {
+		item.coarse(s.coarse(req, meta))
 	}
 	if meta.hit && s.store.CanSkip(meta.n) {
 		resp, ok, err := s.probeTransfer(ctx, req, w.(core.Sampled), meta, mode == modeItem)
@@ -191,6 +195,12 @@ func (s *Server) run(ctx context.Context, req *request, mode runMode, coarse fun
 		defer release()
 	}
 	return s.search(ctx, req, w, meta, mode)
+}
+
+// itemRun is a batch item's view of its run.
+type itemRun struct {
+	coarse func(EstimateResponse)
+	built  bool
 }
 
 // coarse is a batch item's first answer, before any fine sweep: a store
@@ -356,8 +366,10 @@ func (s *Server) respond(req *request, o outcome) EstimateResponse {
 //
 // Uploads are parsed per request. Dataset builds go through the build
 // cache: the replica population is fixed, so re-parsing the same
-// graph or matrix on every result-cache miss is pure waste.
-func (s *Server) build(ctx context.Context, req *request) (w any, err error) {
+// graph or matrix on every result-cache miss is pure waste. built
+// reports whether this call constructed the workload (an upload, or a
+// build-cache miss it led) rather than shared a cached one.
+func (s *Server) build(ctx context.Context, req *request) (w any, built bool, err error) {
 	_, span := obs.StartSpan(ctx, "workload.build")
 	defer span.Finish()
 	span.SetAttr("workload", req.workload)
@@ -371,21 +383,22 @@ func (s *Server) build(ctx context.Context, req *request) (w any, err error) {
 		coo, err := mmio.ReadLimited(bytes.NewReader(req.body), s.cfg.MaxUploadBytes)
 		if err != nil {
 			if errors.Is(err, mmio.ErrTooLarge) {
-				return nil, &httpError{code: http.StatusRequestEntityTooLarge, err: err}
+				return nil, false, &httpError{code: http.StatusRequestEntityTooLarge, err: err}
 			}
-			return nil, badRequest("parsing upload: %v", err)
+			return nil, false, badRequest("parsing upload: %v", err)
 		}
 		m, err := sparse.FromCOO(coo)
 		if err != nil {
-			return nil, badRequest("building matrix: %v", err)
+			return nil, false, badRequest("building matrix: %v", err)
 		}
 		w, err = workloads.Build(req.workload, req.input, workloads.Matrix{M: m}, s.platform, req.mp)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return nil, false, badRequest("%v", err)
 		}
 		// Uploads are still real constructions: count them so batch
 		// summaries report build work for upload items too.
 		s.metrics.buildMisses.Inc()
+		built = true
 	} else {
 		var hit bool
 		w, hit, err = s.builds.get(s.buildKey(req), func() (any, error) {
@@ -396,7 +409,7 @@ func (s *Server) build(ctx context.Context, req *request) (w any, err error) {
 			return workloads.Build(req.workload, req.input, d, s.platform, req.mp)
 		})
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return nil, false, badRequest("%v", err)
 		}
 		if hit {
 			s.metrics.buildHits.Inc()
@@ -404,11 +417,12 @@ func (s *Server) build(ctx context.Context, req *request) (w any, err error) {
 		} else {
 			s.metrics.buildMisses.Inc()
 			cacheAttr = "miss"
+			built = true
 		}
 	}
 	span.SetAttr("cache", cacheAttr)
 	if req.devices == 2 {
-		return core.AsPartition(w.(core.Sampled)).(core.SampledPartition), nil
+		return core.AsPartition(w.(core.Sampled)).(core.SampledPartition), built, nil
 	}
-	return w, nil
+	return w, built, nil
 }

@@ -81,6 +81,7 @@ func extractRows(a *CSR, rows []int, colMap []int32, outCols int) *CSR {
 		RowPtr: make([]int64, len(rows)+1),
 	}
 	hasVals := a.Vals != nil
+	rs := &rowSorter{}
 	for outRow, i := range rows {
 		aCols, aVals := a.Row(i)
 		for k, c := range aCols {
@@ -99,7 +100,7 @@ func extractRows(a *CSR, rows []int, colMap []int32, outCols int) *CSR {
 		hi := int64(len(out.ColIdx))
 		seg := out.ColIdx[lo:hi]
 		if hasVals {
-			sortRowWithVals(seg, out.Vals[lo:hi])
+			rs.sort(seg, out.Vals[lo:hi])
 		} else {
 			insertionSortInt32(seg)
 		}
@@ -149,6 +150,7 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 	rows := r.SampleInts(a.Rows, sr)
 	out := &CSR{Rows: sr, Cols: sr, RowPtr: make([]int64, sr+1)}
 	hasVals := a.Vals != nil
+	rs := &rowSorter{}
 	seen := make(map[int32]struct{}, 64)
 	for outRow, i := range rows {
 		aCols, aVals := a.Row(i)
@@ -193,7 +195,7 @@ func ScaleFreeRowSample(r *xrand.Rand, a *CSR, cfg ScaleFreeSampleConfig) (*CSR,
 		hi := int64(len(out.ColIdx))
 		seg := out.ColIdx[lo:hi]
 		if hasVals {
-			sortRowWithVals(seg, out.Vals[lo:hi])
+			rs.sort(seg, out.Vals[lo:hi])
 		} else {
 			insertionSortInt32(seg)
 		}
